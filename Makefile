@@ -1,6 +1,6 @@
 # Convenience targets for the CrowdSky reproduction.
 
-.PHONY: install test test-robustness test-obs test-pref test-perf-core test-perf-obs test-sweep test-analysis test-sanitize test-recovery test-sharded regen-golden closure-baseline bench bench-ci bench-sweep bench-trajectory bench-baseline bench-scale experiments experiments-paper examples trace-demo report-demo lint lint-baseline
+.PHONY: install test test-robustness test-obs test-pref test-perf-core test-perf-obs test-sweep test-analysis test-sanitize test-recovery test-sharded regen-golden bench bench-ci bench-trajectory bench-baseline bench-scale experiments experiments-paper examples trace-demo report-demo lint lint-baseline
 
 # Suite for bench-trajectory (smoke | ci | paper | scale).
 BENCH_SUITE ?= ci
@@ -30,7 +30,9 @@ test-obs:
 test-pref:
 	pytest -m pref -q
 
-# Assert the bitset closure backend is never slower than the reference.
+# Closure checksums (numpy vs reference), numpy closure work pinned to
+# the committed crowd-scale record and to hand-counted tie merges, and
+# the dominance-kernel perf smoke.
 test-perf-core:
 	pytest tests/test_perf_core.py -m perf -q
 
@@ -87,22 +89,11 @@ lint-baseline:
 regen-golden:
 	PYTHONPATH=src python -m tests.regen_golden
 
-# Refresh benchmarks/baselines/closure_n512.json after backend or
-# workload changes (then commit the diff).
-closure-baseline:
-	PYTHONPATH=src python benchmarks/record_closure_baseline.py
-
 bench:
 	pytest benchmarks/ --benchmark-only
 
 bench-ci:
 	pytest benchmarks/ --benchmark-only --repro-scale ci
-
-# Refresh benchmarks/baselines/sweep_ci.json (serial vs --jobs 4 cold
-# cache vs warm cache, ci scale) after sweep-engine changes, then
-# commit the diff.
-bench-sweep:
-	PYTHONPATH=src python benchmarks/record_sweep_baseline.py
 
 # Run the pinned benchmark suite (BENCH_SUITE=smoke|ci|paper,
 # default ci: closure n=512, fig6a cold/warm, crowdsky n=1000), append

@@ -16,7 +16,7 @@ probes. The mixes exercise the cases that separate the backends:
 * ``chain_probe`` — forward chain growth. Every insert invalidates
   the cached descendant sets of all ancestors, so the reference
   backend re-runs a DFS per distinct probe source each round; the
-  bitset backend answers each probe with one shift-and-mask.
+  numpy backend answers each probe with one bit test on a packed row.
 * ``reverse_chain`` — the chain built tip-first, the worst insert
   order for cache reuse: every new edge lands *above* all existing
   knowledge.
@@ -32,7 +32,7 @@ import random
 from typing import Dict, List, Tuple
 
 from repro.core.preference import PreferenceGraph
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 
 N = 512
 

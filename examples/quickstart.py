@@ -100,7 +100,7 @@ def main() -> None:
         "--metrics on the CLI — to persist the artifacts."
     )
 
-    # Closure backends: all runs above used the default bitset-backed
+    # Closure backends: all runs above used the default numpy-backed
     # transitive closure. CrowdSkyConfig(backend="reference") — or
     # REPRO_PREF_BACKEND=reference — selects the original cached-DFS
     # implementation; results are guaranteed identical (see

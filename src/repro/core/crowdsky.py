@@ -36,7 +36,7 @@ from repro.core.preference import ContradictionPolicy
 from repro.core.result import CrowdSkylineResult
 from repro.core.tasks import TaskOutcome, TupleTask
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.data.relation import Relation
 from repro.exceptions import BudgetExhaustedError
 from repro.obs import current_observation, phase, run_span
@@ -88,11 +88,11 @@ class CrowdSkyConfig:
         default 2 keeps the paper's pairwise format.
     backend:
         Preference-closure backend: ``'numpy'`` (packed uint64 closure
-        matrices with bulk query kernels, the fast default),
-        ``'bitset'`` (incremental Python-int bitset closure) or
-        ``'reference'`` (the original set-based implementation). None
-        defers to the ``REPRO_PREF_BACKEND`` environment variable. All
-        backends produce identical questions, rounds and skylines — the
+        matrices with a bulk query kernel, the fast default) or
+        ``'reference'`` (the original set-based implementation, kept as
+        the executable specification). None defers to the
+        ``REPRO_PREF_BACKEND`` environment variable. Both backends
+        produce identical questions, rounds and skylines — the
         differential suite pins them together.
     shards:
         Shard count for the machine phase (``1`` = the serial path).

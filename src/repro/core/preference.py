@@ -13,31 +13,25 @@ cycle. The paper does not discuss this case; the default
 the newcomer (first-arrival wins), and :attr:`ContradictionPolicy.RAISE`
 turns contradictions into errors for the perfect-crowd setting.
 
-Three interchangeable backends implement the graph:
+Two interchangeable backends implement the graph:
 
 * :class:`ReferencePreferenceGraph` — the original per-node
   ``Dict[int, Set[int]]`` adjacency with memoized DFS reachability.
   Kept as the executable specification; its descendant cache is
   invalidated *exactly* (only nodes whose reachable set can change).
-* :class:`BitsetPreferenceGraph` — reachability as Python-int bitsets
-  (one machine word per 64 tuples) with **incremental** transitive
-  closure maintenance on every edge insert and tie merge. Queries are
-  O(1) bit tests; updates touch only ancestors/descendants of the
-  mutated classes.
-* :class:`NumpyPreferenceGraph` — the same incremental closure with the
-  per-class bitsets packed into ``(n, ceil(n/64))`` uint64 matrices, so
-  an edge insert is one masked ``|=`` broadcast over every affected
-  class row and tie merges are row ORs plus row retirement. It adds the
-  bulk query kernels (:meth:`~NumpyPreferenceGraph.relations_batch`,
-  :meth:`~NumpyPreferenceGraph.reachable_pairs`,
-  :meth:`~NumpyPreferenceGraph.undominated_mask`) that answer whole
-  arrays of pair queries in one shot — the default production backend.
+* :class:`NumpyPreferenceGraph` — reachability as packed bit rows, one
+  per tie class, in ``(n, ceil(n/64))`` uint64 matrices, with
+  **incremental** transitive-closure maintenance: an edge insert is one
+  masked ``|=`` broadcast over every affected class row and tie merges
+  are row ORs plus row retirement. Its
+  :meth:`~NumpyPreferenceGraph.relations_batch` answers whole arrays of
+  pair queries in one gather — the default production backend.
 
 Select the backend with the ``backend=`` constructor flag of
 :func:`PreferenceGraph` / :class:`PreferenceSystem`, or globally with
-the ``REPRO_PREF_BACKEND`` environment variable (``numpy`` | ``bitset``
-| ``reference``). The differential suite
-(``tests/test_preference_differential.py``) pins the three backends to
+the ``REPRO_PREF_BACKEND`` environment variable (``numpy`` |
+``reference``). The differential suite
+(``tests/test_preference_differential.py``) pins the two backends to
 bit-for-bit identical observable state.
 
 :class:`PreferenceSystem` bundles ``|AC|`` graphs and provides the
@@ -57,7 +51,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.exceptions import CrowdSkyError, PreferenceConflictError
 from repro.obs import current_observation
 from repro.obs.metrics import CLOSURE_BATCH_SIZE
@@ -67,11 +61,10 @@ BACKEND_ENV_VAR = "REPRO_PREF_BACKEND"
 
 #: Recognised backend names.
 BACKEND_NUMPY = "numpy"
-BACKEND_BITSET = "bitset"
 BACKEND_REFERENCE = "reference"
 
 #: All recognised backend names, fastest first.
-BACKEND_NAMES = (BACKEND_NUMPY, BACKEND_BITSET, BACKEND_REFERENCE)
+BACKEND_NAMES = (BACKEND_NUMPY, BACKEND_REFERENCE)
 
 
 def default_backend() -> str:
@@ -93,12 +86,15 @@ class ContradictionPolicy(enum.Enum):
     RAISE = "raise"
 
 
-def _iter_bits(bits: int) -> Iterable[int]:
-    """Indices of the set bits of a Python-int bitset, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+#: :meth:`_BasePreferenceGraph.relations_batch` code → relation.
+RELATION_CODES: Tuple[Optional[Preference], ...] = (
+    None, Preference.LEFT, Preference.RIGHT, Preference.EQUAL
+)
+
+#: Relation → its :data:`RELATION_CODES` code.
+_CODE_OF: Dict[Optional[Preference], int] = {
+    rel: code for code, rel in enumerate(RELATION_CODES)
+}
 
 
 class _BasePreferenceGraph:
@@ -245,6 +241,30 @@ class _BasePreferenceGraph:
         """Representative of ``u``'s tie class."""
         return self._find(u)
 
+    def find_roots(self, nodes: Sequence[int]) -> np.ndarray:
+        """Class representatives of an array of tuple indices."""
+        find = self._find
+        return np.fromiter(
+            (find(int(x)) for x in nodes), dtype=np.int64, count=len(nodes)
+        )
+
+    def relations_batch(
+        self, us: Sequence[int], vs: Sequence[int]
+    ) -> np.ndarray:
+        """Relation codes for aligned pair arrays.
+
+        Returns an int8 array: 0 = unknown, 1 = LEFT (``u`` preferred),
+        2 = RIGHT, 3 = EQUAL — see :data:`RELATION_CODES`. This loop
+        over :meth:`relation` is the specification; a backend with
+        packed closure rows overrides it with one gather.
+        """
+        relation = self.relation
+        return np.fromiter(
+            (_CODE_OF[relation(int(u), int(v))] for u, v in zip(us, vs)),
+            dtype=np.int8,
+            count=len(us),
+        )
+
 
 class ReferencePreferenceGraph(_BasePreferenceGraph):
     """The original set-based backend — kept as executable specification.
@@ -312,143 +332,27 @@ class ReferencePreferenceGraph(_BasePreferenceGraph):
         return set(self._descendants[root])
 
 
-class BitsetPreferenceGraph(_BasePreferenceGraph):
-    """Bitset-backed closure with incremental maintenance.
-
-    Per class representative ``r`` the graph stores three Python-int
-    bitsets over *original tuple indices* (so membership tests never
-    need representative mapping):
-
-    * ``_cls[r]`` — members of the tie class,
-    * ``_desc[r]`` — every tuple in a class strictly below ``r``,
-    * ``_anc[r]`` — every tuple in a class strictly above ``r``.
-
-    ``add_edge(u, v)`` ORs ``below(v)`` into every class above-or-equal
-    ``u`` and ``above(u)`` into every class below-or-equal ``v`` — the
-    classic incremental-closure update, word-parallel on 64 tuples at a
-    time. Tie merges union the two classes' bitsets and propagate the
-    same way. Queries are single shift-and-mask bit tests.
-    """
-
-    backend = BACKEND_BITSET
-
-    def __init__(
-        self,
-        n: int,
-        policy: ContradictionPolicy = ContradictionPolicy.KEEP_FIRST,
-    ):
-        super().__init__(n, policy)
-        # Dense list storage: the hot update loops index by tuple id,
-        # and a list subscript skips the dict hash entirely.
-        self._desc: List[int] = [0] * n
-        self._anc: List[int] = [0] * n
-        self._cls: List[int] = [1 << i for i in range(n)]
-        # Bit i set iff i is currently a class representative.
-        self._reps_mask = (1 << n) - 1 if n else 0
-
-    # -- bitset accessors ------------------------------------------------
-
-    def _cls_bits(self, rep: int) -> int:
-        return self._cls[rep]
-
-    def descendants_bits(self, u: int) -> int:
-        """Bitset of tuples in classes strictly below ``u``'s class."""
-        return self._desc[self._find(u)]
-
-    def ancestors_bits(self, u: int) -> int:
-        """Bitset of tuples in classes strictly above ``u``'s class."""
-        return self._anc[self._find(u)]
-
-    def tie_class_bits(self, u: int) -> int:
-        """Bitset of the members of ``u``'s tie class."""
-        return self._cls_bits(self._find(u))
-
-    # -- closure hooks ---------------------------------------------------
-
-    def _reaches(self, source: int, target: int) -> bool:
-        return bool(self._desc[source] >> target & 1)
-
-    def _propagate(self, above: int, below: int, gain_below: int,
-                   gain_above: int) -> None:
-        """OR ``gain_below`` into every class above and ``gain_above``
-        into every class below (the incremental-closure sweep).
-
-        The bit-extraction loops are inlined — a generator here costs a
-        frame resume per representative, which dominates the whole
-        update at chain-shaped workloads.
-        """
-        desc = self._desc
-        anc = self._anc
-        up = above & self._reps_mask
-        down = below & self._reps_mask
-        bits = up
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            desc[low.bit_length() - 1] |= gain_below
-        bits = down
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            anc[low.bit_length() - 1] |= gain_above
-        # O(1) accounting: one closure entry per representative swept.
-        self.closure_updates += bin(up).count("1") + bin(down).count("1")
-
-    def _add_edge(self, src: int, dst: int) -> None:
-        below = self._desc[dst] | self._cls[dst]
-        above = self._anc[src] | self._cls[src]
-        self._propagate(above, below, below, above)
-
-    def _merge_closure(self, keep: int, drop: int) -> None:
-        members = self._cls[keep] | self._cls[drop]
-        below = self._desc[keep] | self._desc[drop]
-        above = self._anc[keep] | self._anc[drop]
-        self._cls[keep] = members
-        self._desc[keep] = below
-        self._anc[keep] = above
-        self._cls[drop] = 0
-        self._desc[drop] = 0
-        self._anc[drop] = 0
-        self._reps_mask &= ~(1 << drop)
-        self._propagate(above, below, below | members, above | members)
-
-    # -- fast queries ----------------------------------------------------
-
-    def relation(self, u: int, v: int) -> Optional[Preference]:
-        ru = self._find(u)
-        if ru == self._find(v):
-            return Preference.EQUAL
-        # Closure bitsets carry member (not representative) indices, so
-        # test v / u directly.
-        if self._desc[ru] >> v & 1:
-            return Preference.LEFT
-        if self._anc[ru] >> v & 1:
-            return Preference.RIGHT
-        return None
-
-
 class NumpyPreferenceGraph(_BasePreferenceGraph):
     """Packed-bit closure: one uint64 matrix row per tie class.
 
-    The per-class bitsets of :class:`BitsetPreferenceGraph` become rows
-    of three ``(n, ceil(n/64))`` uint64 matrices — ``_cls`` (class
-    members), ``_desc`` (tuples strictly below) and ``_anc`` (tuples
-    strictly above); row ``r`` is meaningful only while ``r`` is a class
-    representative. The incremental Italiano-style update is then a
-    masked broadcast: an edge insert ORs ``below(dst)`` into the rows of
-    every representative above ``src`` (and symmetrically for
-    ancestors) in one vectorized ``|=``, and a tie merge is two row ORs
-    plus retirement of the dropped row.
+    Per class representative ``r`` the graph keeps three packed bit rows
+    over *original tuple indices* (so membership tests never need
+    representative mapping): row ``r`` of the ``(n, ceil(n/64))`` uint64
+    matrices ``_cls`` (class members), ``_desc`` (tuples strictly below)
+    and ``_anc`` (tuples strictly above). A row is meaningful only while
+    ``r`` is a class representative. The incremental Italiano-style
+    update is a masked broadcast: an edge insert ORs ``below(dst)`` into
+    the rows of every representative above ``src`` (and symmetrically
+    for ancestors) in one vectorized ``|=``, and a tie merge is two row
+    ORs plus retirement of the dropped row.
 
-    Beyond the scalar API the backend exposes bulk kernels —
-    :meth:`relations_batch`, :meth:`reachable_pairs` and
-    :meth:`undominated_mask` — which gather closure bits for whole
-    arrays of pairs in one shot; :class:`PreferenceSystem` routes
-    ``resolve_pairs`` and ``sky_ac`` through them.
+    :meth:`relations_batch` overrides the base loop with one gather of
+    closure bits for a whole array of pairs; :class:`PreferenceSystem`
+    routes ``resolve_pairs`` through it and vectorizes ``sky_ac`` over
+    the same rows.
 
-    The closure-update accounting mirrors the bitset backend exactly
-    (one update per representative row swept), so the deterministic
-    pseudo-benchmarks pin both to the same counts.
+    ``closure_updates`` counts one update per representative row swept;
+    the tier-1 suite pins it to the committed ``crowd-scale`` record.
     """
 
     backend = BACKEND_NUMPY
@@ -496,8 +400,6 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
             self._desc[up] |= gain_below
         if down.size:
             self._anc[down] |= gain_above
-        # Same accounting as the bitset backend: one closure entry per
-        # representative row swept.
         self.closure_updates += int(up.size) + int(down.size)
 
     # -- closure hooks ---------------------------------------------------
@@ -540,14 +442,7 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
             return Preference.RIGHT
         return None
 
-    # -- bulk query kernels ----------------------------------------------
-
-    def find_roots(self, nodes: Sequence[int]) -> np.ndarray:
-        """Class representatives of an array of tuple indices."""
-        find = self._find
-        return np.fromiter(
-            (find(int(x)) for x in nodes), dtype=np.int64, count=len(nodes)
-        )
+    # -- bulk query kernel -----------------------------------------------
 
     def relations_batch(
         self, us: Sequence[int], vs: Sequence[int]
@@ -572,33 +467,10 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
         codes[ru == rv] = 3
         return codes
 
-    def reachable_pairs(
-        self, us: Sequence[int], vs: Sequence[int]
-    ) -> np.ndarray:
-        """``u ≺ v`` (strict preference derivable) per aligned pair —
-        one closure-bit gather for the whole array."""
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        ru = self.find_roots(us)
-        bits = (
-            self._desc[ru, vs >> 6] >> (vs & 63).astype(np.uint64)
-        ) & np.uint64(1)
-        return bits != 0
-
-    def undominated_mask(self) -> np.ndarray:
-        """Boolean mask over all tuples: True iff nothing is known to be
-        strictly preferred over the tuple's class."""
-        if not self._n:
-            return np.zeros(0, dtype=bool)
-        roots = self.find_roots(np.arange(self._n, dtype=np.int64))
-        has_ancestor = self._anc.any(axis=1)
-        return ~has_ancestor[roots]
-
 
 #: Backend name → graph class.
 GRAPH_BACKENDS = {
     BACKEND_NUMPY: NumpyPreferenceGraph,
-    BACKEND_BITSET: BitsetPreferenceGraph,
     BACKEND_REFERENCE: ReferencePreferenceGraph,
 }
 
@@ -610,7 +482,7 @@ def PreferenceGraph(
 ):
     """Build a preference graph with the selected backend.
 
-    ``backend`` is ``'numpy'``, ``'bitset'`` or ``'reference'``; None
+    ``backend`` is ``'numpy'`` or ``'reference'``; None
     falls back to the ``REPRO_PREF_BACKEND`` environment variable, then
     ``'numpy'``. (Factory function — kept callable like the historical
     class so existing ``PreferenceGraph(n)`` call sites are unaffected.)
@@ -631,11 +503,6 @@ PairRelations = Tuple[Optional[Preference], ...]
 
 #: One aggregated crowd verdict: ``(left, right, attribute, answer)``.
 Verdict = Tuple[int, int, int, Preference]
-
-#: :meth:`NumpyPreferenceGraph.relations_batch` code → relation.
-RELATION_CODES: Tuple[Optional[Preference], ...] = (
-    None, Preference.LEFT, Preference.RIGHT, Preference.EQUAL
-)
 
 #: Orientation flip as a dict lookup — the memo fill path calls this
 #: once per attribute per miss, where a method call measurably shows up.
@@ -735,11 +602,11 @@ class PreferenceSystem:
         Duplicate and symmetric pairs are collapsed before the closure
         is touched: memo-served pairs never reach the backend, and of an
         ``(u, v)`` / ``(v, u)`` twin only one orientation is computed
-        (the other is its flip). Under the numpy backend the remaining
-        misses resolve through one :meth:`~NumpyPreferenceGraph.
-        relations_batch` gather per attribute. Under an active trace
-        each pass is one ``pref.resolve`` span, so the profiler can set
-        closure time against crowd time.
+        (the other is its flip). The remaining misses resolve through
+        one :meth:`~_BasePreferenceGraph.relations_batch` call per
+        attribute — a single gather under the numpy backend. Under an
+        active trace each pass is one ``pref.resolve`` span, so the
+        profiler can set closure time against crowd time.
         """
         unique = dict.fromkeys(pairs)
         observation = current_observation()
@@ -780,35 +647,17 @@ class PreferenceSystem:
                 canonical.append(key)
         self.cache_misses += len(canonical)
         self.cache_hits += len(missing) - len(canonical)
-        if isinstance(self.graphs[0], NumpyPreferenceGraph):
-            us = np.fromiter(
-                (p[0] for p in canonical), dtype=np.int64,
-                count=len(canonical),
-            )
-            vs = np.fromiter(
-                (p[1] for p in canonical), dtype=np.int64,
-                count=len(canonical),
-            )
-            per_attr = [
-                graph.relations_batch(us, vs) for graph in self.graphs
-            ]
-            for index, key in enumerate(canonical):
-                rels = tuple(
-                    RELATION_CODES[codes[index]] for codes in per_attr
-                )
-                memo[key] = rels
-                memo[(key[1], key[0])] = tuple(
-                    _FLIPPED[rel] for rel in rels
-                )
-        else:
-            for key in canonical:
-                rels = tuple(
-                    graph.relation(key[0], key[1]) for graph in self.graphs
-                )
-                memo[key] = rels
-                memo[(key[1], key[0])] = tuple(
-                    _FLIPPED[rel] for rel in rels
-                )
+        us = np.fromiter(
+            (p[0] for p in canonical), dtype=np.int64, count=len(canonical)
+        )
+        vs = np.fromiter(
+            (p[1] for p in canonical), dtype=np.int64, count=len(canonical)
+        )
+        per_attr = [graph.relations_batch(us, vs) for graph in self.graphs]
+        for index, key in enumerate(canonical):
+            rels = tuple(RELATION_CODES[codes[index]] for codes in per_attr)
+            memo[key] = rels
+            memo[(key[1], key[0])] = tuple(_FLIPPED[rel] for rel in rels)
         for pair in missing:
             out[pair] = memo[pair]
         return out
@@ -928,15 +777,15 @@ class PreferenceSystem:
         deduplicates fully-tied members (keeping the lowest index) — a
         tied twin answers the same questions, so asking both is
         redundant. Order of the survivors follows ``members``.
+
+        The numpy backend takes the vectorized :meth:`_sky_ac_numpy`;
+        the pair loop below is the specification the differential suite
+        holds it to.
         """
         if len(members) < 2:
             return list(members)
         if isinstance(self.graphs[0], NumpyPreferenceGraph):
             return self._sky_ac_numpy(members)
-        if self.num_attributes == 1 and isinstance(
-            self.graphs[0], BitsetPreferenceGraph
-        ):
-            return self._sky_ac_bitset(members)
         survivors: List[int] = []
         for v in members:
             dominated = False
@@ -956,29 +805,6 @@ class PreferenceSystem:
                         break
             if not dominated:
                 survivors.append(v)
-        return survivors
-
-    def _sky_ac_bitset(self, members: Sequence[int]) -> List[int]:
-        """Single-attribute fast path: one ancestor-mask test per member.
-
-        With ``|AC| = 1``, ``u ≺_AC v`` is plain reachability, so ``v``
-        survives iff no other member sits strictly above it and no
-        lower-indexed member shares its tie class — three bitset ANDs
-        per member instead of ``O(k)`` pair queries.
-        """
-        graph = self.graphs[0]
-        member_mask = 0
-        for m in members:
-            member_mask |= 1 << m
-        survivors: List[int] = []
-        for v in members:
-            others = member_mask & ~(1 << v)
-            if graph.ancestors_bits(v) & others:
-                continue  # some member strictly preferred over v
-            tied = graph.tie_class_bits(v) & others
-            if tied and (tied & ((1 << v) - 1)):
-                continue  # a lower-indexed fully-tied twin is kept
-            survivors.append(v)
         return survivors
 
     def _sky_ac_numpy(self, members: Sequence[int]) -> List[int]:

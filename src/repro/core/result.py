@@ -12,7 +12,7 @@ from repro.crowd.platform import (
     DEFAULT_PRICE,
     QUESTIONS_PER_HIT,
 )
-from repro.crowd.questions import PairwiseQuestion, Preference
+from repro.questions import PairwiseQuestion, Preference
 from repro.crowd.voting import DEFAULT_OMEGA
 from repro.data.relation import Relation
 from repro.obs.metrics import (

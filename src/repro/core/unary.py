@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.result import CrowdSkylineResult
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import UnaryQuestion
+from repro.questions import UnaryQuestion
 from repro.crowd.voting import DEFAULT_OMEGA
 from repro.data.relation import Relation
 from repro.exceptions import CrowdSkyError

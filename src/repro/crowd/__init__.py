@@ -3,7 +3,8 @@
 This subpackage replaces the paper's Amazon Mechanical Turk deployment
 with a faithful simulation:
 
-* :mod:`repro.crowd.questions` — pairwise (ternary) and unary questions,
+* the pairwise (ternary), multiway and unary questions of
+  :mod:`repro.questions`, re-exported here,
 * :mod:`repro.crowd.oracle` — ground-truth answers from latent values,
 * :mod:`repro.crowd.workers` — worker error models (perfect, Bernoulli
   ``p``, per-worker skill, spammer) and the worker pool,
@@ -43,7 +44,7 @@ from repro.crowd.quality import (
     WorkerQualityTracker,
     weighted_vote,
 )
-from repro.crowd.questions import (
+from repro.questions import (
     MultiwayQuestion,
     PairwiseQuestion,
     Preference,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crowd.questions import (
+from repro.questions import (
     MultiwayQuestion,
     PairwiseQuestion,
     Preference,

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.crowd.oracle import GroundTruthOracle
-from repro.crowd.questions import (
+from repro.questions import (
     MultiwayQuestion,
     PairwiseQuestion,
     Preference,

@@ -40,8 +40,8 @@ QUESTIONS_SAVED_TRANSITIVITY = "crowdsky_questions_saved_transitivity_total"
 #: Pair-relation lookups answered from the preference system's memo
 #: (no closure query needed), labelled by ``backend``.
 PREF_CACHE_HITS = "crowdsky_pref_cache_hits_total"
-#: Incremental transitive-closure maintenance updates (per-node set or
-#: bitset writes), labelled by ``backend``.
+#: Incremental transitive-closure maintenance updates (reference cache
+#: invalidations or numpy closure-row writes), labelled by ``backend``.
 CLOSURE_UPDATES = "crowdsky_closure_updates_total"
 #: Question re-posts after an injected fault.
 RETRIES = "crowdsky_retries_total"

@@ -2,9 +2,7 @@
 
 This vocabulary is deliberately crowd-independent: the sorting
 substrate, the core engine, and the crowd platform all speak it, so it
-sits below every one of those layers in the import DAG (RA004). The
-old location, :mod:`repro.crowd.questions`, remains as a re-export
-shim.
+sits below every one of those layers in the import DAG (RA004).
 
 The paper adopts the *qualitative* format: a pair-wise question ``(s, t)``
 with ternary answers (``s`` preferred / ``t`` preferred / equally

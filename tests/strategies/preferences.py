@@ -8,7 +8,7 @@ small relations mixing known and crowd attributes.
 
 from hypothesis import strategies as st
 
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from tests.conftest import make_relation
 
 #: All three crowd answers.

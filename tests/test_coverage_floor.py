@@ -34,17 +34,15 @@ import pytest
 import repro.core.preference as pref
 from repro.core.preference import (
     BACKEND_NAMES,
-    BitsetPreferenceGraph,
     ContradictionPolicy,
     NumpyPreferenceGraph,
     PreferenceGraph,
     PreferenceSystem,
     ReferencePreferenceGraph,
     _BasePreferenceGraph,
-    _iter_bits,
     default_backend,
 )
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.exceptions import CrowdSkyError, PreferenceConflictError
 from repro.obs import observe
 from repro.obs.metrics import CLOSURE_BATCH_SIZE, MetricsRegistry
@@ -187,7 +185,7 @@ def _outcomes(site, executed, arcs, returns) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# The exercise: every behaviour of the module, all three backends
+# The exercise: every behaviour of the module, both backends
 # ---------------------------------------------------------------------------
 
 
@@ -254,31 +252,6 @@ def _exercise_reference_internals():
     assert graph._reaches(1, 1) is False
 
 
-def _exercise_bitset_internals():
-    graph = BitsetPreferenceGraph(8)
-    graph.add_answer(0, 1, L)
-    graph.add_answer(1, 2, L)
-    assert graph.descendants_bits(0) == 0b110
-    assert graph.ancestors_bits(2) == 0b011
-    assert graph.tie_class_bits(0) == 0b001
-    # merge with both ancestors and descendants to propagate
-    graph.add_answer(3, 4, L)  # separate chain: 3 -> 4
-    graph.add_answer(1, 3, E)  # merge {1} and {3}: above={0}, below={2,4}
-    assert graph.relation(0, 4) is L
-    assert graph.relation(4, 0) is R
-    assert graph.tie_class_bits(1) == graph.tie_class_bits(3)
-    # merge of two isolated nodes: empty above/below
-    graph.add_answer(5, 6, E)
-    assert graph.relation(5, 6) is E
-    assert graph.descendants_bits(5) == 0
-    assert list(_iter_bits(0b10110)) == [1, 2, 4]
-    assert list(_iter_bits(0)) == []
-    assert graph._union(5, 6) == graph.class_of(5)  # no-op re-union guard
-    # _reaches is shadowed by the O(1) relation() override but remains
-    # the documented backend hook — keep it honest
-    assert graph._reaches(0, 2) and not graph._reaches(2, 0)
-
-
 def _exercise_numpy_internals():
     # > 64 nodes so the packed rows span two uint64 words
     graph = NumpyPreferenceGraph(70)
@@ -298,19 +271,23 @@ def _exercise_numpy_internals():
     # the documented backend hook, including the refresh sentinel
     assert graph._reaches(0, 65) and not graph._reaches(65, 0)
     assert graph._reaches(0, -1) is False
-    # bulk kernels
+    # degenerate empty graph: no identity bits
+    assert NumpyPreferenceGraph(0).find_roots([]).size == 0
+
+
+def _exercise_bulk_kernels(backend):
+    """find_roots/relations_batch: the base-class loop (reference) and
+    the numpy gather, with > 64 nodes so packed rows span two words."""
+    graph = PreferenceGraph(70, backend=backend)
+    graph.add_answer(0, 1, L)
+    graph.add_answer(1, 65, L)
+    graph.add_answer(3, 4, L)
+    graph.add_answer(1, 3, E)
+    graph.add_answer(5, 6, E)
     assert list(graph.find_roots([0, 1, 3, 4])) == [0, 1, 1, 4]
     assert list(
         graph.relations_batch([0, 65, 5, 7], [65, 0, 6, 8])
     ) == [1, 2, 3, 0]
-    assert list(
-        graph.reachable_pairs([0, 65, 7], [65, 0, 8])
-    ) == [True, False, False]
-    mask = graph.undominated_mask()
-    assert bool(mask[0]) and not bool(mask[65]) and bool(mask[7])
-    # degenerate empty graph: no identity bits, empty mask
-    empty = NumpyPreferenceGraph(0)
-    assert empty.undominated_mask().size == 0
 
 
 def _exercise_transactions(backend):
@@ -354,8 +331,6 @@ def _exercise_backend_selection(monkeypatch):
     monkeypatch.setenv(pref.BACKEND_ENV_VAR, "Reference")
     assert default_backend() == "reference"
     assert isinstance(PreferenceGraph(2), ReferencePreferenceGraph)
-    monkeypatch.setenv(pref.BACKEND_ENV_VAR, "bitset")
-    assert isinstance(PreferenceGraph(2), BitsetPreferenceGraph)
     monkeypatch.setenv(pref.BACKEND_ENV_VAR, "nope")
     with pytest.raises(CrowdSkyError):
         default_backend()
@@ -403,7 +378,7 @@ def _exercise_system(backend):
     system.add_answer(5, 6, 0, L)
     system.add_answer(5, 6, 1, R)  # 5, 6 certainly incomparable
     assert system.sky_ac([0, 1, 3, 4, 5, 6]) == [0, 3, 5, 6]
-    # single-attribute systems: generic path (reference) vs fast path
+    # single-attribute systems: pair loop (reference) vs vectorized
     single = PreferenceSystem(8, 1, backend=backend)
     single.add_answer(0, 1, 0, L)
     single.add_answer(1, 2, 0, L)
@@ -420,8 +395,8 @@ def _run_exercise(monkeypatch):
         _exercise_graph(backend)
         _exercise_system(backend)
         _exercise_transactions(backend)
+        _exercise_bulk_kernels(backend)
     _exercise_reference_internals()
-    _exercise_bitset_internals()
     _exercise_numpy_internals()
     _exercise_base_hooks()
     _exercise_backend_selection(monkeypatch)

@@ -162,7 +162,7 @@ class TestMultiwayQuestions:
     """The m-ary question extension (§2.1)."""
 
     def test_multiway_question_validation(self):
-        from repro.crowd.questions import MultiwayQuestion
+        from repro.questions import MultiwayQuestion
 
         with pytest.raises(ValueError):
             MultiwayQuestion((1,))
@@ -174,7 +174,7 @@ class TestMultiwayQuestions:
 
     def test_platform_multiway_round(self, toy):
         from repro.crowd.platform import SimulatedCrowd
-        from repro.crowd.questions import MultiwayQuestion
+        from repro.questions import MultiwayQuestion
 
         crowd = SimulatedCrowd(toy)
         question = MultiwayQuestion(
@@ -248,7 +248,7 @@ class TestMultiwayQuestions:
 
     def test_worker_multiway_error_model(self, toy, rng):
         from repro.crowd.oracle import GroundTruthOracle
-        from repro.crowd.questions import MultiwayQuestion
+        from repro.questions import MultiwayQuestion
         from repro.crowd.workers import BernoulliWorker
 
         oracle = GroundTruthOracle(toy)

@@ -1,14 +1,15 @@
-"""Perf smoke: the bitset closure backend must never be slower.
+"""Perf smoke and committed-record pins for the closure layer.
 
 A scaled-down replay (n=128) of the ``benchmarks/closure_cases``
-workloads, timed with best-of-3 on both backends. At this size the
-bitset backend wins every mix by well over 2x on an idle machine, so
-asserting plain "not slower" leaves ample headroom for CI noise while
-still catching a pathological regression (e.g. reintroducing a
-whole-cache invalidation or an accidental O(n) query path).
+workloads checks that the numpy backend computes the reference's
+relations on every mix. numpy's closure maintenance work is pinned
+exactly: the edge-insert path by the committed ``crowd-scale`` bench
+record, the tie-merge path by closed-form and hand-counted sequences.
+The hoisted dominance kernel must not be slower than the re-allocating
+one.
 
-Run via ``make test-perf-core``. The full-size (n=512) numbers live in
-``benchmarks/baselines/closure_n512.json``.
+Run via ``make test-perf-core``. The closure replay itself is timed by
+the ``closure_numpy_n*`` ids of ``crowdsky bench`` (docs/profiling.md).
 """
 
 import sys
@@ -17,23 +18,27 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+from repro.core.preference import PreferenceGraph
+from repro.experiments.bench import (
+    DEFAULT_BASELINES,
+    _closure_updates,
+    load_baseline,
+)
+from repro.questions import Preference
 
-from closure_cases import make_workloads, run_workload  # noqa: E402
+ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+from closure_cases import (  # noqa: E402
+    make_workloads,
+    run_workload,
+    tie_heavy_ops,
+)
 
 pytestmark = [pytest.mark.perf, pytest.mark.pref]
 
 SMOKE_N = 128
 WORKLOADS = make_workloads(SMOKE_N)
-
-
-def _best_of(ops, backend: str, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_workload(ops, SMOKE_N, backend)
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
@@ -50,18 +55,53 @@ def test_numpy_checksum_matches_reference(workload):
     ), f"numpy backend disagrees on {workload}"
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_bitset_not_slower_than_reference(workload):
-    ops = WORKLOADS[workload]
-    assert run_workload(ops, SMOKE_N, "reference") == run_workload(
-        ops, SMOKE_N, "bitset"
-    ), f"backends disagree on {workload}"
-    reference = _best_of(ops, "reference")
-    bitset = _best_of(ops, "bitset")
-    assert bitset <= reference, (
-        f"bitset backend slower than reference on {workload}: "
-        f"{bitset * 1000:.2f}ms vs {reference * 1000:.2f}ms"
-    )
+@pytest.mark.parametrize("n", [512, 2048])
+def test_numpy_closure_updates_match_committed_record(n):
+    """numpy's ``closure_updates`` on the seeded ``random_dag`` replay
+    equals the committed ``crowd-scale`` record, so a change to the
+    closure update path that alters its work fails here first."""
+    record = load_baseline("crowd-scale", ROOT / DEFAULT_BASELINES)
+    pinned = {
+        entry["id"]: entry["median_s"] for entry in record["results"]
+    }[f"crowd_closure_updates_numpy_n{n}"]
+    assert _closure_updates(n, "numpy") == pinned
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_numpy_closure_updates_on_tie_merges(n):
+    """The ``tie_heavy`` mix reaches the merge path, so its count is
+    pinned in closed form. With ``m = n/2`` evens, backbone edge ``k``
+    sweeps the ``k + 1`` representatives at or above its source plus its
+    target (``k + 2`` rows), and each of the ``m`` merges of an odd
+    tuple into its even neighbour sweeps the ``m - 1`` other evens. The
+    probes do no closure work."""
+    graph = PreferenceGraph(n, backend="numpy")
+    for op in tie_heavy_ops(n):
+        if op[0] == "answer":
+            graph.add_answer(*op[1:])
+    m = n // 2
+    backbone = sum(k + 2 for k in range(m - 1))
+    assert graph.closure_updates == backbone + m * (m - 1)
+
+
+def test_numpy_closure_updates_hand_counted():
+    """Edge inserts, tie merges, a redundant answer and rejected
+    contradictions, each step's swept rows counted by hand."""
+    L, E = Preference.LEFT, Preference.EQUAL
+    steps = [
+        ((0, 1, L), 2),  # rows {0} above, {1} below
+        ((2, 3, L), 4),  # rows {2} above, {3} below
+        ((1, 2, E), 6),  # 2 folds into 1: {0} above, {3} below
+        ((3, 0, L), 6),  # contradicts 0 < 3: rejected, no work
+        ((4, 3, E), 8),  # 4 folds into 3: live reps {0, 1} above
+        ((0, 4, L), 8),  # already derivable: no work
+        ((2, 0, E), 8),  # contradicts 0 < 2: rejected, no work
+    ]
+    graph = PreferenceGraph(5, backend="numpy")
+    for (u, v, answer), expected in steps:
+        graph.add_answer(u, v, answer)
+        assert graph.closure_updates == expected, (u, v, answer)
+    assert graph.rejected_answers == 2
 
 
 def _realloc_dominance_matrix(data, chunk_size=64):
@@ -113,23 +153,3 @@ def test_dominance_matrix_buffer_hoisting_not_slower():
         f"hoisted dominance kernel slower than the re-allocating one: "
         f"{hoisted * 1000:.2f}ms vs {realloc * 1000:.2f}ms"
     )
-
-
-def test_committed_baseline_shows_speedup():
-    """The committed n=512 baseline must document ≥3x aggregate."""
-    import json
-
-    baseline_path = (
-        Path(__file__).parent.parent
-        / "benchmarks"
-        / "baselines"
-        / "closure_n512.json"
-    )
-    assert baseline_path.exists(), (
-        "missing baseline — run `python benchmarks/record_closure_baseline.py`"
-    )
-    baseline = json.loads(baseline_path.read_text())
-    assert baseline["n"] == 512
-    assert baseline["aggregate_speedup"] >= 3.0
-    for name, row in baseline["workloads"].items():
-        assert row["speedup"] >= 1.0, f"{name} regressed in the baseline"

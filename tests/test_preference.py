@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 
 from repro.core.preference import (
     BACKEND_ENV_VAR,
-    BitsetPreferenceGraph,
     ContradictionPolicy,
     GRAPH_BACKENDS,
+    NumpyPreferenceGraph,
     PreferenceGraph,
     PreferenceSystem,
     ReferencePreferenceGraph,
 )
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.exceptions import PreferenceConflictError
 
 L, R, E = Preference.LEFT, Preference.RIGHT, Preference.EQUAL
@@ -269,17 +269,8 @@ class TestBackendFactory:
             PreferenceGraph(4, backend="reference"), ReferencePreferenceGraph
         )
         assert isinstance(
-            PreferenceGraph(4, backend="bitset"), BitsetPreferenceGraph
+            PreferenceGraph(4, backend="numpy"), NumpyPreferenceGraph
         )
-
-    def test_bitset_exposes_closure_masks(self):
-        graph = PreferenceGraph(5, backend="bitset")
-        graph.add_answer(0, 1, L)
-        graph.add_answer(1, 2, L)
-        graph.add_answer(2, 3, E)
-        assert graph.descendants_bits(0) == 0b1110
-        assert graph.ancestors_bits(3) == 0b0011
-        assert graph.tie_class_bits(2) == 0b1100
 
     def test_reference_exposes_descendant_sets(self):
         graph = PreferenceGraph(5, backend="reference")

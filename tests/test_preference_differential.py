@@ -1,17 +1,15 @@
-"""Differential suite: the three preference backends, pinned pairwise.
+"""Differential suite: the two preference backends, pinned pairwise.
 
-The bitset backend (:class:`repro.core.preference.BitsetPreferenceGraph`)
-and the numpy backend (:class:`repro.core.preference.NumpyPreferenceGraph`)
-are optimizations of the reference implementation, not reinterpretations
-— every observable they expose must match the reference bit for bit.
-These properties replay random answer histories (edges, ties,
-contradictions under both :class:`ContradictionPolicy` values) into all
-three backends and compare the complete derivable state, pin the
+The numpy backend (:class:`repro.core.preference.NumpyPreferenceGraph`)
+is an optimization of the reference implementation, not a
+reinterpretation — every observable it exposes must match the reference
+bit for bit. These properties replay random answer histories (edges,
+ties, contradictions under both :class:`ContradictionPolicy` values)
+into both backends and compare the complete derivable state, pin the
 round-shaped closure transactions (:meth:`PreferenceSystem.
-apply_verdicts`) and the numpy bulk kernels against the scalar queries,
-then pin full CrowdSky runs — all four schedulers — to identical
-question order, round tables, skylines and journal bytes under any
-backend.
+apply_verdicts`) and the bulk kernel against the scalar queries, then
+pin full CrowdSky runs — all four schedulers — to identical question
+order, round tables, skylines and journal bytes under either backend.
 """
 
 import pytest
@@ -22,7 +20,6 @@ from repro.core import CrowdSkyConfig, crowdsky, parallel_dset, parallel_sl
 from repro.core.crowdsky import crowdsky_budgeted
 from repro.core.preference import (
     BACKEND_NAMES,
-    BitsetPreferenceGraph,
     ContradictionPolicy,
     NumpyPreferenceGraph,
     PreferenceGraph,
@@ -32,7 +29,7 @@ from repro.core.preference import (
 )
 from repro.crowd.journal import segment_paths
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.crowd.workers import WorkerPool
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.exceptions import CrowdSkyError, PreferenceConflictError
@@ -48,7 +45,7 @@ from tests.strategies import (
 
 pytestmark = pytest.mark.pref
 
-BACKENDS = BACKEND_NAMES  # ("numpy", "bitset", "reference")
+BACKENDS = BACKEND_NAMES  # ("numpy", "reference")
 
 #: The four schedulers of the end-to-end pin — name → runner.
 SCHEDULERS = {
@@ -115,14 +112,6 @@ def assert_backends_agree(by_backend):
         assert value == reference, f"{backend} diverges from reference"
 
 
-def assert_closure_counts_mirror(graphs):
-    """The numpy backend's closure-update accounting mirrors the bitset
-    backend exactly (one update per representative row swept) — the
-    invariant the deterministic pseudo-benchmarks rely on. The reference
-    backend counts invalidations instead, so it is excluded."""
-    assert graphs["numpy"].closure_updates == graphs["bitset"].closure_updates
-
-
 class TestGraphDifferential:
     @settings(
         parent=DIFFERENTIAL_SETTINGS,
@@ -142,7 +131,6 @@ class TestGraphDifferential:
         assert_backends_agree(
             {b: graph_state(g, n) for b, g in graphs.items()}
         )
-        assert_closure_counts_mirror(graphs)
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(answer_sequences(max_attributes=1))
@@ -253,12 +241,10 @@ class TestGraphDifferential:
             for batch in rounds
         ]
         states = {}
-        systems = {}
         for backend in BACKENDS:
             system = PreferenceSystem(n, num_attributes, backend=backend)
             accepted = [system.apply_verdicts(batch) for batch in rounds]
             assert accepted == scalar_accepted
-            systems[backend] = system
             states[backend] = [
                 graph_state(graph, n) for graph in system.graphs
             ]
@@ -266,15 +252,11 @@ class TestGraphDifferential:
             graph_state(graph, n) for graph in scalar.graphs
         ]
         assert_backends_agree(states)
-        assert (
-            systems["numpy"].closure_updates()
-            == systems["bitset"].closure_updates()
-        )
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(sequence=answer_sequences(max_n=10, max_attributes=1), data=st.data())
     def test_numpy_bulk_kernels_match_scalar_queries(self, sequence, data):
-        """The numpy bulk kernels answer exactly like the scalar API."""
+        """The numpy bulk kernel answers exactly like the scalar API."""
         n, _, events = sequence
         graph = NumpyPreferenceGraph(n)
         replay(graph, events)
@@ -288,21 +270,6 @@ class TestGraphDifferential:
             for u, v in pairs
         ]
         assert codes == expected
-        reachable = list(graph.reachable_pairs(us, vs))
-        assert reachable == [
-            graph.class_of(u) != graph.class_of(v)
-            and graph.relation(u, v) is Preference.LEFT
-            for u, v in pairs
-        ]
-        mask = graph.undominated_mask()
-        assert list(mask) == [
-            not any(
-                graph.relation(u, v) is Preference.LEFT
-                for u in range(n)
-                if graph.class_of(u) != graph.class_of(v)
-            )
-            for v in range(n)
-        ]
         assert list(graph.find_roots(list(range(n)))) == [
             graph.class_of(v) for v in range(n)
         ]
@@ -380,7 +347,6 @@ class TestBackendSelection:
         "backend, cls",
         [
             ("numpy", NumpyPreferenceGraph),
-            ("bitset", BitsetPreferenceGraph),
             ("reference", ReferencePreferenceGraph),
         ],
     )
@@ -395,15 +361,20 @@ class TestBackendSelection:
     def test_constructor_flag_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PREF_BACKEND", "reference")
         assert isinstance(
-            PreferenceGraph(4, backend="bitset"), BitsetPreferenceGraph
+            PreferenceGraph(4, backend="numpy"), NumpyPreferenceGraph
         )
 
     def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(CrowdSkyError):
-            PreferenceGraph(4, backend="quantum")
-        monkeypatch.setenv("REPRO_PREF_BACKEND", "quantum")
-        with pytest.raises(CrowdSkyError):
-            default_backend()
+        """Unknown names fail fast — ``bitset`` included."""
+        relation = generate_synthetic(8, 2, 1, seed=0)
+        for name in ("quantum", "bitset"):
+            with pytest.raises(CrowdSkyError):
+                PreferenceGraph(4, backend=name)
+            with pytest.raises(CrowdSkyError):
+                crowdsky(relation, config=CrowdSkyConfig(backend=name))
+            monkeypatch.setenv("REPRO_PREF_BACKEND", name)
+            with pytest.raises(CrowdSkyError):
+                default_backend()
 
     def test_config_backend_threads_through(self, small_independent):
         results = {

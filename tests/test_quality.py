@@ -9,7 +9,7 @@ from repro.crowd.quality import (
     WorkerQualityTracker,
     weighted_vote,
 )
-from repro.crowd.questions import PairwiseQuestion, Preference
+from repro.questions import PairwiseQuestion, Preference
 from repro.crowd.workers import BernoulliWorker, SpammerWorker, WorkerPool
 from repro.exceptions import CrowdPlatformError
 

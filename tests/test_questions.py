@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crowd.questions import PairwiseQuestion, Preference, UnaryQuestion
+from repro.questions import PairwiseQuestion, Preference, UnaryQuestion
 
 
 class TestPreference:

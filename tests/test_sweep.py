@@ -11,7 +11,7 @@ import pytest
 from repro.core.engine import ask_batch, build_context
 from repro.core.tasks import MultiwayRequest, PairRequest
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.questions import MultiwayQuestion
+from repro.questions import MultiwayQuestion
 from repro.experiments.registry import available_experiments, run_experiment
 from repro.experiments.sweep import (
     CACHE_VERSION,

@@ -9,7 +9,7 @@ from repro.core.tasks import (
     TaskState,
     TupleTask,
 )
-from repro.crowd.questions import Preference
+from repro.questions import Preference
 from repro.skyline.dominance import dominance_matrix
 from repro.skyline.dominating import FrequencyOracle
 

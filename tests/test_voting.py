@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crowd.questions import PairwiseQuestion, Preference
+from repro.questions import PairwiseQuestion, Preference
 from repro.crowd.voting import (
     DynamicVoting,
     StaticVoting,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crowd.oracle import GroundTruthOracle
-from repro.crowd.questions import PairwiseQuestion, Preference, UnaryQuestion
+from repro.questions import PairwiseQuestion, Preference, UnaryQuestion
 from repro.crowd.workers import (
     BernoulliWorker,
     DifficultyAwareWorker,
