@@ -1,6 +1,6 @@
 # Convenience targets for the CrowdSky reproduction.
 
-.PHONY: install test test-robustness test-obs test-pref test-perf-core test-perf-obs test-sweep test-analysis test-sanitize test-recovery test-sharded regen-golden bench bench-ci bench-trajectory bench-baseline bench-scale experiments experiments-paper examples trace-demo report-demo lint lint-baseline
+.PHONY: install test test-robustness test-obs test-pref test-perf-core test-perfbench test-perf-obs test-sweep test-analysis test-sanitize test-recovery test-sharded regen-golden bench bench-ci bench-trajectory bench-baseline bench-scale experiments experiments-paper examples trace-demo report-demo lint lint-baseline
 
 # Suite for bench-trajectory (smoke | ci | paper | scale).
 BENCH_SUITE ?= ci
@@ -35,6 +35,13 @@ test-pref:
 # the dominance-kernel perf smoke.
 test-perf-core:
 	pytest tests/test_perf_core.py -m perf -q
+
+# Self-tests of the query benchmark (perfbench/, BENCHMARK.json) on
+# tiny relations of every workload: counts repeat, self times partition
+# the traced wall time, each layer shows up only on the workloads that
+# use it, and the metric names match BENCHMARK.json.
+test-perfbench:
+	python3 -m pytest perfbench -q
 
 # Pin the <2% disabled-observability overhead claim and the profiler/
 # cost-report exactness properties (docs/profiling.md).

@@ -31,6 +31,8 @@ from repro.obs.metrics import (
     QUESTIONS_SAVED_TRANSITIVITY,
     TUPLES_EVALUATED,
 )
+# build_context reads DS(t) off the matrix it holds; ``dominating_sets``
+# stays bound here because perfbench/layers.py wraps it by name.
 from repro.skyline.dominating import (
     FrequencyOracle,
     dominating_sets,
@@ -63,12 +65,10 @@ class ExecutionContext:
     unresolved_pairs: Set[TupleT[int, int, int]] = field(
         default_factory=set
     )
-    #: Memoized :meth:`eval_order` result and the ``removed`` snapshot it
-    #: was computed against (``removed`` is mutated in place by callers).
-    _order_cache: Optional[List[int]] = field(
-        default=None, repr=False, compare=False
-    )
-    _order_removed: Optional[frozenset] = field(
+    #: The evaluation order of every tuple and each tuple's position in
+    #: it. ``dominating`` is fixed after :func:`build_context`, so both
+    #: are computed once, on first use.
+    _evaluation: Optional[TupleT[List[int], np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
 
@@ -83,25 +83,29 @@ class ExecutionContext:
         """Relation cardinality."""
         return len(self.relation)
 
+    def _evaluation_positions(self) -> TupleT[List[int], np.ndarray]:
+        if self._evaluation is None:
+            order = evaluation_order(self.dominating)
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.arange(len(order))
+            self._evaluation = (order, rank)
+        return self._evaluation
+
     def eval_order(self) -> List[int]:
         """Tuples in ascending ``|DS(t)|`` order, preprocessed tuples
-        excluded.
-
-        The order is memoized (``dominating`` is fixed after
-        :func:`build_context`) and recomputed only when ``removed`` has
-        changed since the last call.
-        """
-        removed = frozenset(self.removed)
-        if self._order_cache is None or self._order_removed != removed:
-            order = evaluation_order(self.dominating)
-            self._order_cache = [t for t in order if t not in removed]
-            self._order_removed = removed
-        return list(self._order_cache)
+        excluded (``removed`` is mutated in place by callers, so it is
+        read on every call)."""
+        order, _ = self._evaluation_positions()
+        removed = self.removed
+        return [t for t in order if t not in removed]
 
     def ds_in_eval_order(self, t: int) -> List[int]:
-        """``DS(t)`` members sorted by their own evaluation position."""
+        """``DS(t)`` members sorted by their own evaluation position,
+        i.e. by ``(|DS(s)|, s)``."""
+        _, rank = self._evaluation_positions()
         members = self.dominating[t]
-        return sorted(members, key=lambda s: (len(self.dominating[s]), s))
+        ds = np.fromiter(members, dtype=np.int64, count=len(members))
+        return ds[np.argsort(rank[ds])].tolist()
 
 
 def seed_visible_preferences(
@@ -192,9 +196,10 @@ def build_context(
     ``'reference'``; None = the ``REPRO_PREF_BACKEND`` default).
 
     ``shards > 1`` computes the dominance matrix shard-by-shard
-    (optionally across ``shard_jobs`` worker processes) and reads the
-    dominating sets off it; both are bit-identical to the serial path,
-    so every downstream question is unchanged (docs/sharding.md).
+    (optionally across ``shard_jobs`` worker processes); it is
+    bit-identical to the serial matrix, so every downstream question is
+    unchanged (docs/sharding.md). Either way the dominating sets are
+    read off that one matrix.
     """
     if relation.schema.num_crowd < 1:
         raise CrowdSkyError(
@@ -252,18 +257,7 @@ def build_context(
             frequency = FrequencyOracle(matrix)
 
         with spans.span("engine.dominating_sets"):
-            if shards > 1:
-                # The sharded path already holds the matrix; reading
-                # DS(t) off its columns skips the serial path's second
-                # quadratic pass and is equal by construction.
-                dominating = dominating_sets_from_matrix(matrix)
-            else:
-                dominating = dominating_sets(known)
-            if removed:
-                dominating = [
-                    {s for s in members if s not in removed}
-                    for members in dominating
-                ]
+            dominating = dominating_sets_from_matrix(matrix, removed)
 
         context = ExecutionContext(
             relation=relation,

@@ -42,6 +42,12 @@ from repro.exceptions import (
     ExperimentError,
     TraceSchemaError,
 )
+from repro.experiments.bench import (
+    SUITES,
+    append_record,
+    check_against_baseline,
+    run_suite,
+)
 from repro.experiments.registry import (
     available_experiments,
     run_experiment,
@@ -269,12 +275,6 @@ def _run_report(args) -> int:
 
 def _run_bench(args) -> int:
     """Execute ``crowdsky bench``: record + optionally gate a suite."""
-    from repro.experiments.bench import (
-        append_record,
-        check_against_baseline,
-        run_suite,
-    )
-
     record = run_suite(
         args.suite,
         repeats=args.repeats,
@@ -503,11 +503,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--suite",
-        choices=("smoke", "ci", "paper", "scale"),
+        choices=tuple(SUITES),
         default="smoke",
         help=(
             "benchmark suite (default: smoke; scale = the sharded "
-            "machine-phase n=10k/100k/1M curve, docs/sharding.md)"
+            "machine-phase n=10k/100k/1M curve, docs/sharding.md; "
+            "crowd-scale = the crowd-phase n=1k..20k curve)"
         ),
     )
     bench.add_argument(

@@ -12,7 +12,7 @@ no worse on every attribute and strictly better on at least one; ``s`` and
 from __future__ import annotations
 
 import enum
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,41 +55,64 @@ def compare(s: ArrayLike, t: ArrayLike) -> DominanceRelation:
     return DominanceRelation.INCOMPARABLE
 
 
+def _dominance_blocks(
+    rows: np.ndarray, data: np.ndarray, chunk_size: int = 512
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield ``(start, block)``, ``block[i, j] = rows[start + i] ≺ data[j]``.
+
+    The one dominance kernel behind every matrix, mask and local
+    skyline of :mod:`repro.skyline`. A block covers up to
+    ``chunk_size`` rows and is built one attribute at a time — a
+    ``<`` pass OR-ed into ``block`` and a ``<=`` pass AND-ed into a
+    second buffer — so every temporary is a 2-D ``(b, n)`` bool buffer
+    allocated once and reused; a ``(b, n, d)`` broadcast would spend
+    most of its time reducing over the short attribute axis. The
+    yielded block is overwritten by the next one.
+    """
+    n = data.shape[0]
+    size = min(chunk_size, rows.shape[0])
+    columns = np.ascontiguousarray(data.T)
+    # ``strict`` stays all-False when there are no attributes: nothing
+    # is strictly better anywhere, so nothing dominates.
+    strict = np.zeros((size, n), dtype=bool)
+    no_worse = np.empty((size, n), dtype=bool)
+    scratch = np.empty((size, n), dtype=bool)
+    for start in range(0, rows.shape[0], chunk_size):
+        block = rows[start:start + chunk_size].T[:, :, None]  # (d, b, 1)
+        b = block.shape[1]
+        lt, le, tmp = strict[:b], no_worse[:b], scratch[:b]
+        if len(columns):
+            np.less(block[0], columns[0], out=lt)
+            np.less_equal(block[0], columns[0], out=le)
+            for k in range(1, len(columns)):
+                np.less(block[k], columns[k], out=tmp)
+                lt |= tmp
+                np.less_equal(block[k], columns[k], out=tmp)
+                le &= tmp
+            lt &= le
+        yield start, lt
+
+
 def dominance_matrix(data: np.ndarray, chunk_size: int = 512) -> np.ndarray:
     """Boolean matrix ``M`` with ``M[i, j] = data[i] dominates data[j]``.
 
-    Vectorized with row chunking so memory stays at
-    ``O(chunk_size · n · d)`` — the paper's grids go to ``n = 10K`` where a
-    naive Python double loop would be prohibitive.
+    Built in row blocks of ``chunk_size`` by the per-attribute kernel,
+    so the only ``n × n`` allocation is the result — the paper's grids
+    go to ``n = 10K`` where a naive Python double loop would be
+    prohibitive.
 
     Parameters
     ----------
     data:
         ``(n, d)`` float matrix, smaller preferred.
     chunk_size:
-        Rows per broadcasting block.
+        Rows per block.
     """
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
-    result = np.zeros((n, n), dtype=bool)
-    if n == 0:
-        return result
-    # Comparison buffers are hoisted out of the chunk loop and reused
-    # (ufunc ``out=``) — re-allocating the (b, n, d) broadcast temp per
-    # pass dominated the layer-computation profile.
-    b = min(chunk_size, n)
-    cmp = np.empty((b, n, data.shape[1]), dtype=bool)
-    le = np.empty((b, n), dtype=bool)
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        size = stop - start
-        block = data[start:stop, None, :]  # (b, 1, d)
-        np.less_equal(block, data[None, :, :], out=cmp[:size])
-        cmp[:size].all(axis=2, out=le[:size])
-        np.less(block, data[None, :, :], out=cmp[:size])
-        cmp[:size].any(axis=2, out=result[start:stop])
-        np.logical_and(le[:size], result[start:stop],
-                       out=result[start:stop])
+    result = np.empty((n, n), dtype=bool)
+    for start, block in _dominance_blocks(data, data, chunk_size):
+        result[start:start + block.shape[0]] = block
     return result
 
 
@@ -100,23 +123,7 @@ def skyline_mask(data: np.ndarray, chunk_size: int = 512) -> np.ndarray:
     (paper Definition 3).
     """
     data = np.asarray(data, dtype=float)
-    n = data.shape[0]
-    dominated = np.zeros(n, dtype=bool)
-    if n == 0:
-        return ~dominated
-    # Same hoisted-buffer scheme as :func:`dominance_matrix`.
-    b = min(chunk_size, n)
-    cmp = np.empty((b, n, data.shape[1]), dtype=bool)
-    le = np.empty((b, n), dtype=bool)
-    lt = np.empty((b, n), dtype=bool)
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        size = stop - start
-        block = data[start:stop, None, :]
-        np.less_equal(block, data[None, :, :], out=cmp[:size])
-        cmp[:size].all(axis=2, out=le[:size])
-        np.less(block, data[None, :, :], out=cmp[:size])
-        cmp[:size].any(axis=2, out=lt[:size])
-        np.logical_and(le[:size], lt[:size], out=lt[:size])
-        dominated |= lt[:size].any(axis=0)
+    dominated = np.zeros(data.shape[0], dtype=bool)
+    for _, block in _dominance_blocks(data, data, chunk_size):
+        dominated |= block.any(axis=0)
     return ~dominated

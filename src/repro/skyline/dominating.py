@@ -13,11 +13,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple as TupleT
+from typing import Collection, Dict, List, Set, Tuple as TupleT
 
 import numpy as np
 
 from repro.skyline.dominance import dominance_matrix
+
+#: Rows per block in the whole-matrix readers below: each block's
+#: temporaries are ``O(_BLOCK_ROWS · n)``, never ``n × n``.
+_BLOCK_ROWS = 256
 
 
 def dominating_sets(data: np.ndarray) -> List[Set[int]]:
@@ -26,15 +30,35 @@ def dominating_sets(data: np.ndarray) -> List[Set[int]]:
     return dominating_sets_from_matrix(matrix)
 
 
-def dominating_sets_from_matrix(matrix: np.ndarray) -> List[Set[int]]:
-    """``DS(t)`` read off a precomputed dominance matrix.
+def dominating_sets_from_matrix(
+    matrix: np.ndarray,
+    removed: Collection[int] = (),
+) -> List[Set[int]]:
+    """``DS(t)`` read off a precomputed dominance matrix, without the
+    tuples in ``removed``.
 
-    Lets callers that already hold the matrix (the sharded machine
-    phase, :func:`repro.core.engine.build_context`) derive the sets
-    without a second quadratic pass over the data.
+    Lets callers that already hold the matrix
+    (:func:`repro.core.engine.build_context`) derive the sets without a
+    second quadratic pass over the data. Columns are read
+    ``_BLOCK_ROWS`` at a time: one ``nonzero`` per block of transposed
+    columns lists every block member in ascending order.
     """
-    return [set(int(s) for s in np.flatnonzero(matrix[:, t]))
-            for t in range(matrix.shape[0])]
+    n = matrix.shape[0]
+    keep = np.ones(n, dtype=bool)
+    keep[np.fromiter(removed, dtype=np.intp, count=len(removed))] = False
+    # One Python int per tuple, shared by every set that holds it:
+    # gathering from an object array allocates no int per member, and
+    # the members number up to n²/4 on independent data.
+    index = np.arange(n).astype(object)
+    sets: List[Set[int]] = []
+    for start in range(0, n, _BLOCK_ROWS):
+        block = matrix[:, start:start + _BLOCK_ROWS].T & keep
+        members = index[np.nonzero(block)[1]].tolist()
+        low = 0
+        for high in np.cumsum(np.count_nonzero(block, axis=1)).tolist():
+            sets.append(set(members[low:high]))
+            low = high
+    return sets
 
 
 def evaluation_order(dominating: List[Set[int]]) -> List[int]:
@@ -42,26 +66,48 @@ def evaluation_order(dominating: List[Set[int]]) -> List[int]:
     return sorted(range(len(dominating)), key=lambda t: (len(dominating[t]), t))
 
 
+def packed_bool_rows(matrix: np.ndarray) -> np.ndarray:
+    """Rows of a ``(rows, n)`` bool matrix packed into a
+    ``(rows, ceil(n/64))`` uint64 matrix.
+
+    An AND, OR or ``any`` over many rows becomes one vectorized word
+    operation. Bit ``j`` of row ``r`` lives at
+    ``packed[r, j >> 6] >> (j & 63) & 1`` on every host; the padding
+    bits past ``n`` are zero.
+    """
+    rows, n = matrix.shape
+    words = max(1, (n + 63) >> 6)
+    out = np.zeros((rows, words * 8), dtype=np.uint8)
+    out[:, :(n + 7) >> 3] = np.packbits(matrix, axis=1, bitorder="little")
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpacked_bool_rows(packed: np.ndarray, n: int) -> np.ndarray:
+    """The ``(rows, n)`` bool matrix packed by :func:`packed_bool_rows`."""
+    little = np.ascontiguousarray(packed, dtype="<u8")
+    bits = np.unpackbits(
+        little.view(np.uint8), axis=1, count=n, bitorder="little"
+    )
+    return bits.view(bool)
+
+
 def packed_bitset_rows(sets: List[Set[int]], n: int) -> np.ndarray:
-    """Index sets packed into rows of a ``(len(sets), ceil(n/64))``
-    uint64 matrix.
+    """Index sets over ``range(n)`` packed as :func:`packed_bool_rows`,
+    one row per set.
 
     A disjointness or membership test against many sets becomes one
     vectorized ``AND``/``any`` over the rows instead of a Python loop
-    over the sets. Bit ``i`` of row ``r`` lives at
-    ``rows[r, i >> 6] >> (i & 63) & 1``.
+    over the sets. The sets are spread into bool rows ``_BLOCK_ROWS``
+    at a time.
     """
     words = max(1, (n + 63) >> 6)
     rows = np.zeros((len(sets), words), dtype=np.uint64)
-    for index, members in enumerate(sets):
-        if not members:
-            continue
-        idx = np.fromiter(members, dtype=np.int64, count=len(members))
-        np.bitwise_or.at(
-            rows[index],
-            idx >> 6,
-            np.uint64(1) << (idx & 63).astype(np.uint64),
-        )
+    for start in range(0, len(sets), _BLOCK_ROWS):
+        block = sets[start:start + _BLOCK_ROWS]
+        bits = np.zeros((len(block), n), dtype=bool)
+        for index, members in enumerate(block):
+            bits[index, list(members)] = True
+        rows[start:start + len(block)] = packed_bool_rows(bits)
     return rows
 
 
@@ -106,9 +152,14 @@ class FrequencyOracle:
 
     def freq_matrix(self, members: List[int]) -> np.ndarray:
         """``freq(u, v)`` for all pairs of ``members`` as a ``k × k``
-        matrix (vectorized; used by probing on large dominating sets)."""
-        rows = self._matrix[members].astype(np.int64)
-        return rows @ rows.T
+        matrix (vectorized; used by probing on large dominating sets).
+
+        The product is taken in float64, where BLAS computes it: every
+        entry is a count of at most ``n < 2**53``, so it is exact
+        whatever the summation order (numpy multiplies int64 matrices
+        without BLAS, many times slower)."""
+        rows = self._matrix[members].astype(np.float64)
+        return (rows @ rows.T).astype(np.int64)
 
     def quantiles(self, probabilities: List[float]) -> List[float]:
         """Quantiles of ``freq`` over all dominated-pair combinations.
@@ -119,8 +170,9 @@ class FrequencyOracle:
         pairs ``(u, v)`` of tuples that dominate at least one common tuple
         — the pairs that can actually appear as probing questions.
         """
-        counts = self._matrix.astype(np.int64)
-        # freq(u, v) = (M M^T)[u, v]: co-domination counts for all pairs.
+        counts = self._matrix.astype(np.float64)
+        # freq(u, v) = (M M^T)[u, v]: co-domination counts for all pairs,
+        # exact in float64 (see freq_matrix).
         co_domination = counts @ counts.T
         iu = np.triu_indices(co_domination.shape[0], k=1)
         values = co_domination[iu]

@@ -16,6 +16,11 @@ from typing import Dict, List, Set
 import numpy as np
 
 from repro.skyline.dominance import dominance_matrix
+from repro.skyline.dominating import packed_bool_rows, unpacked_bool_rows
+
+#: Rows of the covering relation unpacked at a time: the block's
+#: temporaries are ``O(_BLOCK_ROWS · n)``, never ``n × n``.
+_BLOCK_ROWS = 256
 
 
 def skyline_layers_from_matrix(matrix: np.ndarray) -> List[List[int]]:
@@ -39,20 +44,41 @@ def covering_graph_from_matrix(matrix: np.ndarray) -> Dict[int, Set[int]]:
     """Direct-pointer sets ``c(t)`` from a precomputed dominance matrix.
 
     ``s`` is a direct dominator of ``t`` iff ``s ≺ t`` with no
-    intermediate ``w`` (``s ≺ w ≺ t``) — i.e. ``s`` dominates none of
-    ``t``'s other dominators. One submatrix reduction per tuple keeps
-    this vectorized (`the paper's grids reach n = 10K`).
+    intermediate ``w`` (``s ≺ w ≺ t``), so the covering relation is
+    ``M & ~(M∘M)``. ``M`` is packed into ``(n, ⌈n/64⌉)`` uint64 rows;
+    the two-step reach of ``s`` is the OR of its successors' packed
+    rows, and the covering edges are unpacked one block of
+    ``_BLOCK_ROWS`` rows at a time, so nothing ``n × n`` is allocated
+    besides ``matrix`` (the paper's grids reach n = 10K).
     """
     n = matrix.shape[0]
+    packed = packed_bool_rows(matrix)
+    sources: List[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    targets: List[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        reach = np.zeros((stop - start, packed.shape[1]), dtype=np.uint64)
+        for s in range(start, stop):
+            successors = np.flatnonzero(matrix[s])
+            if successors.size:
+                np.bitwise_or.reduce(
+                    packed[successors], axis=0, out=reach[s - start]
+                )
+        direct = unpacked_bool_rows(packed[start:stop] & ~reach, n)
+        block_sources, block_targets = np.nonzero(direct)
+        sources.append(block_sources + start)
+        targets.append(block_targets)
+    # Group the edges by target; the stable sort keeps each c(t)'s
+    # sources ascending.
+    target = np.concatenate(targets)
+    source = np.concatenate(sources)[np.argsort(target, kind="stable")]
+    members = source.tolist()
     result: Dict[int, Set[int]] = {}
-    for t in range(n):
-        dominators = np.flatnonzero(matrix[:, t])
-        if dominators.size == 0:
-            result[t] = set()
-            continue
-        sub = matrix[np.ix_(dominators, dominators)]
-        direct_mask = ~sub.any(axis=1)
-        result[t] = {int(s) for s in dominators[direct_mask]}
+    bounds = np.cumsum(np.bincount(target, minlength=n)).tolist()
+    low = 0
+    for t, high in enumerate(bounds):
+        result[t] = set(members[low:high])
+        low = high
     return result
 
 

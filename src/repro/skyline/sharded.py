@@ -44,7 +44,7 @@ import numpy as np
 from repro.exceptions import CrowdSkyError
 from repro.obs import NOOP_TRACER, current_observation
 from repro.obs.metrics import SHARD_DOMINANCE_CHECKS, SHARD_TUPLES_SHIPPED
-from repro.skyline.dominance import dominance_matrix
+from repro.skyline.dominance import _dominance_blocks, skyline_mask
 
 
 # ---------------------------------------------------------------------------
@@ -174,19 +174,14 @@ def local_skyline_mask(
             if len(sky_blocks) > 1:
                 sky_blocks = [np.concatenate(sky_blocks)]
             sky = sky_blocks[0]
-            # Chunk over the accumulated skyline so the broadcast temp
-            # stays O(block_size * chunk * d).
-            for s0 in range(0, sky_size, block_size):
-                chunk = sky[s0:s0 + block_size]
-                le = np.all(rows[:, None, :] >= chunk[None, :, :], axis=2)
-                lt = np.any(rows[:, None, :] > chunk[None, :, :], axis=2)
-                dominated |= np.any(le & lt, axis=1)
-                checks += indices.size * chunk.shape[0]
+            # block[j, i] = sky[j] ≺ rows[i], in blocks of the skyline.
+            for _, block in _dominance_blocks(sky, rows, block_size):
+                dominated |= block.any(axis=0)
+            checks += indices.size * sky_size
         survivors = indices[~dominated]
         if survivors.size > 1:
-            local = dominance_matrix(data[survivors])
             checks += survivors.size * survivors.size
-            survivors = survivors[~local.any(axis=0)]
+            survivors = survivors[skyline_mask(data[survivors])]
         keep[survivors] = True
         if survivors.size:
             sky_blocks.append(data[survivors])
@@ -204,25 +199,13 @@ def _local_skyline_cell(rows: np.ndarray) -> Tuple[np.ndarray, int]:
     return local_skyline_mask(rows)
 
 
-def _matrix_rows_cell(
-    data: np.ndarray, indices: np.ndarray
-) -> np.ndarray:
-    """Worker: the dominance-matrix rows owned by one shard."""
-    return _matrix_rows(data, indices)
-
-
-def _matrix_rows(
-    data: np.ndarray, indices: np.ndarray, chunk_size: int = 512
-) -> np.ndarray:
-    """``M[indices, :]`` of the full dominance matrix, with the same
-    row chunking as :func:`repro.skyline.dominance.dominance_matrix` so
-    the broadcast temporaries stay ``O(chunk_size · n · d)``."""
+def _matrix_rows(data: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Worker: ``M[indices, :]``, the dominance-matrix rows owned by one
+    shard, built by the same row-block kernel as
+    :func:`repro.skyline.dominance.dominance_matrix`."""
     out = np.empty((indices.size, data.shape[0]), dtype=bool)
-    for start in range(0, indices.size, chunk_size):
-        rows = data[indices[start:start + chunk_size]]
-        le = np.all(rows[:, None, :] <= data[None, :, :], axis=2)
-        lt = np.any(rows[:, None, :] < data[None, :, :], axis=2)
-        out[start:start + rows.shape[0]] = le & lt
+    for start, block in _dominance_blocks(data[indices], data):
+        out[start:start + block.shape[0]] = block
     return out
 
 
@@ -382,7 +365,7 @@ def sharded_dominance_matrix(
             workers = min(jobs, len(plan.parts))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_matrix_rows_cell, data, part)
+                    pool.submit(_matrix_rows, data, part)
                     for part in plan.parts
                 ]
                 blocks = [future.result() for future in futures]

@@ -368,6 +368,15 @@ class TestBenchHarness:
         with pytest.raises(ExperimentError):
             run_suite("smoke", repeats=0)
 
+    def test_cli_accepts_every_suite(self):
+        from repro.experiments.bench import SUITES
+        from repro.experiments.cli import _build_parser
+
+        parser = _build_parser()
+        for suite in SUITES:
+            args = parser.parse_args(["bench", "--suite", suite])
+            assert args.suite == suite
+
     def test_cli_bench_gates(self, tmp_path, capsys):
         trajectory = tmp_path / "BT.json"
         code = cli_main(
