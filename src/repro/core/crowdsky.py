@@ -291,7 +291,7 @@ def _run_budgeted(
         t for t in range(context.n) if t not in context.removed
     ]
 
-    complete_non_skyline: Set[int] = set(context.removed)
+    complete_non_skyline = ~context.keep
     skyline: Set[int] = set()
     complete = len(context.removed)
     exhausted = False
@@ -303,7 +303,7 @@ def _run_budgeted(
             if exhausted:
                 undecided.add(t)
                 continue
-            if not context.dominating[t]:
+            if not context.ds_sizes[t]:
                 skyline.add(t)
                 complete += 1
                 record_tuple(context, trace, t, "skyline")
@@ -334,7 +334,7 @@ def _run_budgeted(
                 continue
             complete += 1
             if task.outcome is TaskOutcome.NON_SKYLINE:
-                complete_non_skyline.add(t)
+                complete_non_skyline[t] = True
             else:
                 skyline.add(t)
             record_tuple(context, trace, t, task.outcome.value)
@@ -344,18 +344,18 @@ def _run_budgeted(
     # a dominating-set member already dominates them in current knowledge
     # (any member counts — even a non-skyline one dominates t in A).
     # All candidate pairs are settled against the closure in one batch;
-    # the undecided set is sorted once and reused (it is fixed here).
-    undecided_order = sorted(undecided)
+    # each undecided DS(t) is gathered once and reused (it is fixed here).
+    candidates = {t: context.ds_in_eval_order(t) for t in sorted(undecided)}
     finalize = context.prefs.resolve_pairs(
-        (s, t) for t in undecided_order for s in context.dominating[t]
+        (s, t) for t, members in candidates.items() for s in members
     )
-    for t in undecided_order:
+    for t, members in candidates.items():
         dominated = any(
             all(
                 rel is not None and rel is not Preference.RIGHT
                 for rel in finalize[(s, t)]
             )
-            for s in context.dominating[t]
+            for s in members
         )
         if not dominated:
             skyline.add(t)
@@ -386,13 +386,13 @@ def _run_serial(
     else:
         order = [t for t in range(context.n) if t not in context.removed]
 
-    complete_non_skyline: Set[int] = set(context.removed)
+    complete_non_skyline = ~context.keep
     skyline: Set[int] = set()
 
     with phase("evaluate"):
         trace = tuple_trace()
         for t in order:
-            if not context.dominating[t]:
+            if not context.ds_sizes[t]:
                 skyline.add(t)  # complete skyline tuple from start (§2.3)
                 record_tuple(context, trace, t, "skyline")
                 continue
@@ -416,7 +416,7 @@ def _run_serial(
                     task.abandon_request(request)
                 request = task.advance()
             if task.outcome is TaskOutcome.NON_SKYLINE:
-                complete_non_skyline.add(t)
+                complete_non_skyline[t] = True
             else:
                 skyline.add(t)
             record_tuple(context, trace, t, task.outcome.value)

@@ -31,14 +31,9 @@ from repro.obs.metrics import (
     QUESTIONS_SAVED_TRANSITIVITY,
     TUPLES_EVALUATED,
 )
-# build_context reads DS(t) off the matrix it holds; ``dominating_sets``
-# stays bound here because perfbench/layers.py wraps it by name.
-from repro.skyline.dominating import (
-    FrequencyOracle,
-    dominating_sets,
-    dominating_sets_from_matrix,
-    evaluation_order,
-)
+# Unused here: ``dominating_sets`` stays bound only because
+# perfbench/layers.py wraps it by name.
+from repro.skyline.dominating import FrequencyOracle, dominating_sets
 from repro.skyline.dominance import dominance_matrix
 from repro.skyline.sharded import PARTITIONERS, sharded_dominance_matrix
 
@@ -48,15 +43,21 @@ class ExecutionContext:
     """Everything a scheduler needs to evaluate tuples.
 
     Build one with :func:`build_context`; schedulers then share the
-    preference system, dominance matrix, dominating sets and frequency
-    oracle without recomputation.
+    preference system, dominance matrix and frequency oracle without
+    recomputation, and read each ``DS(t)`` off the matrix.
     """
 
     relation: Relation
     crowd: SimulatedCrowd
     prefs: PreferenceSystem
     matrix: np.ndarray
-    dominating: List[Set[int]]
+    #: Build-time keep mask: False for the tuples preprocessing removed.
+    #: ``DS(t)`` is column ``t`` of ``matrix`` restricted to it.
+    keep: np.ndarray
+    #: ``|DS(t)|`` of every tuple.
+    ds_sizes: List[int]
+    #: The kept tuples in ``(|DS(t)|, t)`` evaluation order.
+    order: np.ndarray
     frequency: FrequencyOracle
     removed: Set[int] = field(default_factory=set)
     ac_round_robin: bool = False
@@ -64,12 +65,6 @@ class ExecutionContext:
     #: on (fault-tolerant runs) — treated conservatively as incomparable.
     unresolved_pairs: Set[TupleT[int, int, int]] = field(
         default_factory=set
-    )
-    #: The evaluation order of every tuple and each tuple's position in
-    #: it. ``dominating`` is fixed after :func:`build_context`, so both
-    #: are computed once, on first use.
-    _evaluation: Optional[TupleT[List[int], np.ndarray]] = field(
-        default=None, repr=False, compare=False
     )
 
     @property
@@ -83,29 +78,18 @@ class ExecutionContext:
         """Relation cardinality."""
         return len(self.relation)
 
-    def _evaluation_positions(self) -> TupleT[List[int], np.ndarray]:
-        if self._evaluation is None:
-            order = evaluation_order(self.dominating)
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[order] = np.arange(len(order))
-            self._evaluation = (order, rank)
-        return self._evaluation
-
     def eval_order(self) -> List[int]:
         """Tuples in ascending ``|DS(t)|`` order, preprocessed tuples
         excluded (``removed`` is mutated in place by callers, so it is
         read on every call)."""
-        order, _ = self._evaluation_positions()
         removed = self.removed
-        return [t for t in order if t not in removed]
+        return [t for t in self.order.tolist() if t not in removed]
 
     def ds_in_eval_order(self, t: int) -> List[int]:
         """``DS(t)`` members sorted by their own evaluation position,
-        i.e. by ``(|DS(s)|, s)``."""
-        _, rank = self._evaluation_positions()
-        members = self.dominating[t]
-        ds = np.fromiter(members, dtype=np.int64, count=len(members))
-        return ds[np.argsort(rank[ds])].tolist()
+        i.e. by ``(|DS(s)|, s)``: column ``t`` gathered in that order."""
+        order = self.order
+        return order[np.flatnonzero(self.matrix[order, t])].tolist()
 
 
 def seed_visible_preferences(
@@ -198,8 +182,8 @@ def build_context(
     ``shards > 1`` computes the dominance matrix shard-by-shard
     (optionally across ``shard_jobs`` worker processes); it is
     bit-identical to the serial matrix, so every downstream question is
-    unchanged (docs/sharding.md). Either way the dominating sets are
-    read off that one matrix.
+    unchanged (docs/sharding.md). Either way ``DS(t)`` is read off that
+    one matrix, column by column, when a scheduler asks for it.
     """
     if relation.schema.num_crowd < 1:
         raise CrowdSkyError(
@@ -257,14 +241,24 @@ def build_context(
             frequency = FrequencyOracle(matrix)
 
         with spans.span("engine.dominating_sets"):
-            dominating = dominating_sets_from_matrix(matrix, removed)
+            # DS(t) stays in the matrix: only its sizes and the
+            # evaluation order are read off here.
+            dropped = sorted(removed)
+            keep = np.ones(n, dtype=bool)
+            keep[dropped] = False
+            sizes = np.count_nonzero(matrix, axis=0) - np.count_nonzero(
+                matrix[dropped], axis=0
+            )
+            order = np.argsort(sizes, kind="stable")
 
         context = ExecutionContext(
             relation=relation,
             crowd=crowd,
             prefs=prefs,
             matrix=matrix,
-            dominating=dominating,
+            keep=keep,
+            ds_sizes=sizes.tolist(),
+            order=order[keep[order]],
             frequency=frequency,
             removed=removed,
             ac_round_robin=ac_round_robin,
@@ -319,7 +313,9 @@ def _request_attributes(
     those not yet derivable."""
     if request.force:
         return list(range(prefs.num_attributes))
-    return prefs.unknown_attributes(request.left, request.right)
+    pair = (request.left, request.right)
+    rels = prefs.resolve_pairs([pair])[pair]
+    return [j for j, rel in enumerate(rels) if rel is None]
 
 
 def _note_unresolved(

@@ -39,12 +39,12 @@ from repro.core.engine import (
     tuple_trace,
 )
 from repro.core.result import CrowdSkylineResult
-from repro.core.tasks import PairRequest, TaskOutcome, TaskState, TupleTask
+from repro.core.tasks import PairRequest, TaskOutcome, TupleTask
 from repro.crowd.platform import SimulatedCrowd
 from repro.data.relation import Relation
 from repro.exceptions import CrowdSkyError
 from repro.obs import phase, run_span
-from repro.skyline.dominating import packed_bitset_rows
+from repro.skyline.dominating import packed_bool_rows
 from repro.skyline.layers import covering_graph_from_matrix
 
 
@@ -69,10 +69,10 @@ def _finalize(
     context: ExecutionContext,
     task: TupleTask,
     skyline: Set[int],
-    complete_non_skyline: Set[int],
+    complete_non_skyline: np.ndarray,
 ) -> None:
     if task.outcome is TaskOutcome.NON_SKYLINE:
-        complete_non_skyline.add(task.t)
+        complete_non_skyline[task.t] = True
     else:
         skyline.add(task.t)
     record_tuple(context, tuple_trace(), task.t, task.outcome.value)
@@ -137,13 +137,13 @@ def parallel_dset(
         )
 
         skyline: Set[int] = set()
-        complete_non_skyline: Set[int] = set(context.removed)
+        complete_non_skyline = ~context.keep
 
         with phase("evaluate"):
             # Group by |DS(t)|; the empty-DS group needs no questions.
             groups: Dict[int, List[int]] = {}
             for t in context.eval_order():
-                groups.setdefault(len(context.dominating[t]), []).append(t)
+                groups.setdefault(context.ds_sizes[t], []).append(t)
             trace = tuple_trace()
             for t in groups.pop(0, []):
                 skyline.add(t)
@@ -173,22 +173,21 @@ def parallel_dset(
 def _disjoint_batches(
     context: ExecutionContext,
     members: List[int],
-    complete_non_skyline: Set[int],
+    complete_non_skyline: np.ndarray,
 ) -> List[List[int]]:
     """First-fit partition of a group into batches whose (pruned)
     dominating sets are pairwise disjoint — the (C2) independence check.
 
-    Dominating sets are packed into rows of a uint64 matrix so a
+    Each member's ``DS(t)`` without the complete non-skyline tuples is
+    its matrix column masked by ``~complete_non_skyline`` (which covers
+    the preprocessed tuples too), packed into a uint64 row, so a
     member's disjointness test against every open batch is one
     vectorized AND + ``any`` over the union rows instead of a Python
     loop. First-fit order (and therefore the batch composition and every
     downstream question) is identical to the scalar implementation."""
-    n = context.n
-    ds_rows = packed_bitset_rows(
-        [context.dominating[t] for t in members], n
+    ds_rows = packed_bool_rows(
+        context.matrix[:, members].T & ~complete_non_skyline
     )
-    if complete_non_skyline:
-        ds_rows &= ~packed_bitset_rows([complete_non_skyline], n)[0]
     batches: List[List[int]] = []
     unions = np.zeros_like(ds_rows)
     open_batches = 0
@@ -215,7 +214,7 @@ def _run_lockstep(
     batch: List[int],
     config: CrowdSkyConfig,
     skyline: Set[int],
-    complete_non_skyline: Set[int],
+    complete_non_skyline: np.ndarray,
 ) -> None:
     """Run a batch of independent tuples in lockstep rounds."""
     tasks = [_make_task(context, t, config) for t in batch]
@@ -282,26 +281,25 @@ def parallel_sl(
         cover = covering_graph_from_matrix(context.matrix)
 
         skyline: Set[int] = set()
-        complete_non_skyline: Set[int] = set(context.removed)
+        complete_non_skyline = ~context.keep
         complete: Set[int] = set(context.removed)
 
-        tasks: Dict[int, TupleTask] = {}
-        order = context.eval_order()
+        pending: List[int] = []
         trace = tuple_trace()
-        for t in order:
-            if not context.dominating[t]:
+        for t in context.eval_order():
+            if not context.ds_sizes[t]:
                 skyline.add(t)  # SL1: complete skyline tuples, C's seed
                 complete.add(t)
                 record_tuple(context, trace, t, "skyline")
             else:
-                tasks[t] = _make_task(context, t, config)
+                pending.append(t)
 
-        pending = [t for t in order if t in tasks]
+        tasks: Dict[int, TupleTask] = {}
         finished: Set[int] = set()
 
         with phase("evaluate"):
             wave = 0
-            while len(finished) < len(tasks):
+            while len(finished) < len(pending):
                 wave += 1
                 # Each activation wave is one "layer" for attribution.
                 context.crowd.set_cost_context(
@@ -314,12 +312,12 @@ def parallel_sl(
                     for t in pending:
                         if t in finished or t in requests:
                             continue
-                        task = tasks[t]
-                        if task.state is TaskState.PENDING:
-                            if cover[t] <= complete:
-                                task.activate(complete_non_skyline)
-                            else:
+                        task = tasks.get(t)
+                        if task is None:
+                            if not cover[t] <= complete:
                                 continue
+                            task = tasks[t] = _make_task(context, t, config)
+                            task.activate(complete_non_skyline)
                         request = task.advance()
                         if request is None:
                             _finalize(
@@ -331,7 +329,7 @@ def parallel_sl(
                         else:
                             requests[t] = request
                 if not requests:
-                    if len(finished) < len(tasks):  # pragma: no cover
+                    if len(finished) < len(pending):  # pragma: no cover
                         raise CrowdSkyError(
                             "ParallelSL deadlock: tuples waiting on "
                             "incomplete dominators with no questions in "

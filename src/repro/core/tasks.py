@@ -27,6 +27,8 @@ import enum
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple as TupleT
 
+import numpy as np
+
 from repro.core.preference import PreferenceSystem
 from repro.questions import Preference
 from repro.skyline.dominating import FrequencyOracle
@@ -130,7 +132,11 @@ class TupleTask:
         # with several crowd attributes the winner need not dominate.
         self._multiway = multiway if prefs.num_attributes == 1 else 2
         self._asked_groups: Set[TupleT[int, ...]] = set()
+        #: The probe ladder, walked by ``_cursor``; a pair whose member
+        #: left ``_live`` is skipped when the cursor reaches it.
         self._probe_pairs: List[TupleT[int, int]] = []
+        self._cursor = 0
+        self._live: Set[int] = set()
         self._ask_index = 0
         self._requested: Set[int] = set()
         #: DS members whose Q(t) question the crowd gave up on — treated
@@ -147,18 +153,24 @@ class TupleTask:
     @property
     def dominating_set(self) -> List[int]:
         """The (pruned) dominating set as it currently stands."""
+        if self.state is TaskState.PROBING:
+            return [s for s in self._ds if s in self._live]
         return list(self._ds)
 
-    def activate(self, complete_non_skyline: Set[int]) -> None:
-        """Apply activation-time pruning and enter the probing phase."""
+    def activate(self, complete_non_skyline: np.ndarray) -> None:
+        """Apply activation-time pruning and enter the probing phase.
+
+        ``complete_non_skyline`` is a bool mask over all tuples: True
+        for the complete non-skyline tuples P1 drops."""
         if self.state is not TaskState.PENDING:
             raise RuntimeError(f"task {self.t} activated twice")
         if self._use_p1:
-            self._ds = [s for s in self._ds if s not in complete_non_skyline]
+            self._ds = [s for s in self._ds if not complete_non_skyline[s]]
         if self._use_p2:
             self._ds = self._prefs.sky_ac(self._ds)
         if self._use_p3 and len(self._ds) > 1:
             self._probe_pairs = self._sorted_probe_pairs(self._ds)
+        self._live = set(self._ds)
         self.state = TaskState.PROBING
 
     def _sorted_probe_pairs(
@@ -177,40 +189,6 @@ class TupleTask:
         pairs.sort(key=lambda p: (sign * p[2], p[0], p[1]))
         return [(u, v) for u, v, _ in pairs]
 
-    def _remove_member(self, member: int) -> None:
-        self._ds = [s for s in self._ds if s != member]
-        self._probe_pairs = [
-            pair for pair in self._probe_pairs if member not in pair
-        ]
-
-    def _resolve_probe_pair(self, u: int, v: int) -> bool:
-        """Try to settle a probe pair from current knowledge.
-
-        One pair-relations snapshot answers all four predicates
-        (dominates either way, fully tied, fully known) in a single
-        closure pass. Returns True when the pair is settled (and
-        removed)."""
-        rels = self._prefs.pair_relations(u, v)
-        if None not in rels:
-            left = Preference.LEFT in rels
-            right = Preference.RIGHT in rels
-            if left and not right:
-                self._remove_member(v)  # u ≺_AC v
-                return True
-            if right and not left:
-                self._remove_member(u)  # v ≺_AC u
-                return True
-            if not left and not right:
-                self._remove_member(max(u, v))  # fully tied twins
-                return True
-            # Known but incomparable across crowd attributes (|AC| > 1):
-            # neither member prunes the other; drop the pair.
-            self._probe_pairs = [
-                pair for pair in self._probe_pairs if pair != (u, v)
-            ]
-            return True
-        return False
-
     def abandon_request(self, request) -> None:
         """Give up on an unresolvable request (fault tolerance).
 
@@ -227,16 +205,11 @@ class TupleTask:
           degraded skyline can only gain tuples, never lose true ones.
         """
         if isinstance(request, MultiwayRequest):
-            self._probe_pairs = []
             if self.state is TaskState.PROBING:
                 self.state = TaskState.ASKING
             return
         if self.state is TaskState.PROBING:
-            pair = (request.left, request.right)
-            flipped = (request.right, request.left)
-            self._probe_pairs = [
-                p for p in self._probe_pairs if p != pair and p != flipped
-            ]
+            self._cursor += 1  # the request is the pair at the cursor
         elif self.state is TaskState.ASKING:
             self._abandoned.add(request.left)
 
@@ -265,44 +238,28 @@ class TupleTask:
             self._asked_groups.add(group)
             return MultiwayRequest(group)
 
-        if self.state is TaskState.PROBING and len(self._probe_pairs) > 1:
-            # Warm the pair memo for the whole remaining ladder in one
-            # closure pass (one bulk kernel call under the numpy
-            # backend); the head-by-head resolution below then runs on
-            # memo hits until the next crowd answer. Pure prefetch — no
-            # state changes, so the emitted questions are unchanged.
-            live = set(self._ds)
-            self._prefs.resolve_pairs(
-                (u, v)
-                for u, v in self._probe_pairs
-                if u in live and v in live
-            )
-
+        pairs, live = self._probe_pairs, self._live
         while self.state is TaskState.PROBING:
-            if not self._probe_pairs:
+            if self._cursor >= len(pairs):
+                self._ds = [s for s in self._ds if s in live]
                 self.state = TaskState.ASKING
                 break
-            u, v = self._probe_pairs[0]
-            if u not in self._ds or v not in self._ds:
-                self._probe_pairs.pop(0)
-                continue
-            if self._resolve_probe_pair(u, v):
-                continue
-            return PairRequest(u, v)
-
-        if (
-            self.state is TaskState.ASKING
-            and self._use_p2
-            and len(self._ds) - self._ask_index > 1
-        ):
-            # Same bulk prefetch for the Q(t) ladder: settle every
-            # remaining (s, t) dominance check in one closure pass, then
-            # scan on memo hits.
-            self._prefs.resolve_pairs(
-                (s, self.t)
-                for s in self._ds[self._ask_index:]
-                if s not in self._abandoned
-            )
+            u, v = pairs[self._cursor]
+            if u in live and v in live:
+                rels = self._prefs.pair_relations(u, v)
+                if None in rels:
+                    return PairRequest(u, v)
+                left = Preference.LEFT in rels
+                right = Preference.RIGHT in rels
+                if left and not right:
+                    live.discard(v)  # u ≺_AC v
+                elif right and not left:
+                    live.discard(u)  # v ≺_AC u
+                elif not left and not right:
+                    live.discard(max(u, v))  # fully tied twins
+                # Otherwise known but incomparable across crowd
+                # attributes (|AC| > 1): neither member prunes the other.
+            self._cursor += 1
 
         while self.state is TaskState.ASKING:
             if self._ask_index >= len(self._ds):

@@ -87,15 +87,17 @@ def _crc(seq: int, epoch: int, type: str, data: Any) -> int:
 
 
 def _encode(seq: int, epoch: int, type: str, data: Any) -> bytes:
-    record = {
-        "seq": seq,
-        "epoch": epoch,
-        "type": type,
-        "data": data,
-        "crc": _crc(seq, epoch, type, data),
-    }
+    """One record line: the bytes of the sorted-key ``json.dumps`` of
+    ``{seq, epoch, type, data, crc}``, with ``data`` serialised once
+    for both the checksum payload and the record. Record types are
+    plain identifiers, so they need no escaping."""
+    body = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    crc = zlib.crc32(
+        f'[{seq},{epoch},"{type}",{body}]'.encode("utf-8")
+    ) & 0xFFFFFFFF
     return (
-        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        f'{{"crc":{crc},"data":{body},"epoch":{epoch},"seq":{seq},'
+        f'"type":"{type}"}}\n'
     ).encode("utf-8")
 
 

@@ -37,8 +37,7 @@ def dominating_sets_from_matrix(
     """``DS(t)`` read off a precomputed dominance matrix, without the
     tuples in ``removed``.
 
-    Lets callers that already hold the matrix
-    (:func:`repro.core.engine.build_context`) derive the sets without a
+    Lets callers that already hold the matrix derive the sets without a
     second quadratic pass over the data. Columns are read
     ``_BLOCK_ROWS`` at a time: one ``nonzero`` per block of transposed
     columns lists every block member in ascending order.
@@ -89,26 +88,6 @@ def unpacked_bool_rows(packed: np.ndarray, n: int) -> np.ndarray:
         little.view(np.uint8), axis=1, count=n, bitorder="little"
     )
     return bits.view(bool)
-
-
-def packed_bitset_rows(sets: List[Set[int]], n: int) -> np.ndarray:
-    """Index sets over ``range(n)`` packed as :func:`packed_bool_rows`,
-    one row per set.
-
-    A disjointness or membership test against many sets becomes one
-    vectorized ``AND``/``any`` over the rows instead of a Python loop
-    over the sets. The sets are spread into bool rows ``_BLOCK_ROWS``
-    at a time.
-    """
-    words = max(1, (n + 63) >> 6)
-    rows = np.zeros((len(sets), words), dtype=np.uint64)
-    for start in range(0, len(sets), _BLOCK_ROWS):
-        block = sets[start:start + _BLOCK_ROWS]
-        bits = np.zeros((len(block), n), dtype=bool)
-        for index, members in enumerate(block):
-            bits[index, list(members)] = True
-        rows[start:start + len(block)] = packed_bool_rows(bits)
-    return rows
 
 
 def pair_frequency(matrix: np.ndarray, u: int, v: int) -> int:

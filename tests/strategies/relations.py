@@ -8,8 +8,9 @@ from plain drawn integers rather than float arrays so Hypothesis can
 shrink failing examples to readable grids.
 
 ``crowd_relations`` wraps the same generator into a small
-one-crowd-attribute :class:`repro.data.relation.Relation` for
-full-pipeline differential properties (the sharded harness).
+:class:`repro.data.relation.Relation` with one or more crowd attributes
+for full-pipeline differential properties (the sharded harness, the
+evaluate-phase differential).
 """
 
 from hypothesis import strategies as st
@@ -88,10 +89,11 @@ def known_matrices(
 
 @st.composite
 def crowd_relations(
-    draw, max_rows=14, max_known=3, kinds=KINDS, max_levels=6
+    draw, max_rows=14, max_known=3, kinds=KINDS, max_levels=6, num_crowd=1
 ):
-    """A small relation (known grid from ``known_matrices`` plus one
-    crowd attribute) for end-to-end scheduler differentials."""
+    """A small relation (known grid from ``known_matrices`` plus
+    ``num_crowd`` crowd attributes, each valued in 0..5 so crowd ties
+    are common) for end-to-end scheduler differentials."""
     known = draw(
         known_matrices(
             min_rows=1,
@@ -105,7 +107,9 @@ def crowd_relations(
     rows = known.shape[0]
     latent = draw(
         st.lists(
-            st.tuples(st.integers(0, 5)), min_size=rows, max_size=rows
+            st.tuples(*[st.integers(0, 5)] * num_crowd),
+            min_size=rows,
+            max_size=rows,
         )
     )
     return make_relation(

@@ -13,6 +13,7 @@ from repro.crowd.platform import SimulatedCrowd
 from repro.questions import MultiwayQuestion, Preference
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.exceptions import CrowdSkyError
+from repro.skyline.dominating import dominating_sets
 from tests.conftest import make_relation
 
 L, R, E = Preference.LEFT, Preference.RIGHT, Preference.EQUAL
@@ -54,9 +55,12 @@ class TestBuildContext:
 
     def test_ds_in_eval_order_sorted_by_ds_size(self, toy):
         context = build_context(toy)
+        dominating = dominating_sets(toy.known_matrix())
         j = toy.index_of("j")
         members = context.ds_in_eval_order(j)
-        sizes = [len(context.dominating[s]) for s in members]
+        assert set(members) == dominating[j]
+        sizes = [context.ds_sizes[s] for s in members]
+        assert sizes == [len(dominating[s]) for s in members]
         assert sizes == sorted(sizes)
 
 

@@ -11,10 +11,14 @@ header-once, segment rotation, and the resumed-writer event dedupe.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
-from repro.core.crowdsky import crowdsky
+from repro.core.crowdsky import CrowdSkyConfig, crowdsky, crowdsky_budgeted
+from repro.core.unary import unary_skyline
+from repro.crowd import journal as journal_module
+from repro.crowd.faults import FaultPlan
 from repro.crowd.journal import (
     JournalWriter,
     _crc,
@@ -22,6 +26,7 @@ from repro.crowd.journal import (
     segment_paths,
 )
 from repro.crowd.platform import SimulatedCrowd
+from repro.crowd.retry import RetryPolicy
 from repro.crowd.workers import WorkerPool
 from repro.data.synthetic import generate_synthetic
 from repro.exceptions import JournalError, JournalReplayError
@@ -91,6 +96,92 @@ def test_header_is_write_once(tmp_path):
             writer.write_header({"algorithm": "x"})
         with pytest.raises(JournalError, match="standalone"):
             writer.append_event("post", {})
+
+
+# -- record encoding ---------------------------------------------------------
+
+
+def two_dump_encode(seq, epoch, type, data):
+    """The record line as two ``json.dumps`` calls, one for the checksum
+    payload and one for the record, each serialising ``data``."""
+    record = {
+        "seq": seq,
+        "epoch": epoch,
+        "type": type,
+        "data": data,
+        "crc": _crc(seq, epoch, type, data),
+    }
+    return (
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    ).encode("utf-8")
+
+
+def test_encode_matches_two_dump_encoding_for_every_record_type(tmp_path):
+    """Every record the writer emits — pairwise, multiway and unary
+    postings, fault records, a budget denial, and a header and note
+    carrying non-ASCII text and floats — encodes to the same bytes as
+    the two-dump version, and the journals recover cleanly."""
+    real_encode = journal_module._encode
+    seen = set()
+
+    def checked(seq, epoch, type, data):
+        line = real_encode(seq, epoch, type, data)
+        assert line == two_dump_encode(seq, epoch, type, data)
+        seen.add(type)
+        return line
+
+    relation = generate_synthetic(24, 2, 1, seed=5)
+    pool = WorkerPool.uniform(size=25, accuracy=0.85)
+    faults = FaultPlan(
+        abandonment_rate=0.05,
+        hit_timeout_rate=0.04,
+        transient_error_rate=0.04,
+        spam_burst_rate=0.03,
+        seed=13,
+    )
+    runs = {
+        "faulty": (
+            dict(faults=faults, retry=RetryPolicy(max_attempts=4)),
+            lambda crowd: crowdsky(relation, crowd),
+        ),
+        "budgeted": (
+            dict(strict=False),
+            lambda crowd: crowdsky_budgeted(relation, 10, crowd),
+        ),
+        "multiway": (
+            {},
+            lambda crowd: crowdsky(
+                relation, crowd, CrowdSkyConfig(multiway=4)
+            ),
+        ),
+        "unary": ({}, lambda crowd: unary_skyline(relation, crowd)),
+    }
+    with mock.patch.object(journal_module, "_encode", checked):
+        for name, (options, run) in runs.items():
+            crowd = SimulatedCrowd(
+                relation, pool=pool, seed=9,
+                journal=JournalWriter(tmp_path / name), **options,
+            )
+            run(crowd)
+            crowd.journal.close()
+        with JournalWriter(tmp_path / "note") as writer:
+            writer.write_header(
+                {"name": "Zoë — ☃", "scale": 0.1, "tiny": 5e-324,
+                 "big": 1.7976931348623157e308, "zero": -0.0}
+            )
+            writer.append_event(
+                "note",
+                {"text": "naïve café ✓", "ratio": 2 / 3,
+                 "nested": {"b": [1.5, "ü", None], "a": True}},
+            )
+    assert seen == {
+        "header", "post", "vote", "fault", "verdict", "commit",
+        "budget", "note",
+    }
+    for name in [*runs, "note"]:
+        recovered = recover_journal(tmp_path / name)
+        assert not recovered.truncated
+        assert recovered.problems == []
 
 
 # -- corruption matrix -------------------------------------------------------

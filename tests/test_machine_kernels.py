@@ -1,10 +1,12 @@
 """Differential tests for the machine-phase kernels.
 
 The row-block dominance kernel, the packed covering graph, the
-column-blocked dominating sets and the rank-sorted ``DS(t)`` are pinned
-against the straightforward formulations kept here as specs: the 3-D
-broadcast dominance matrix, ``~M.any(axis=0)``, one submatrix reduction
-per tuple, one column scan per tuple and a ``(|DS(s)|, s)`` key sort.
+column-blocked dominating sets, the packed ``DS(t)`` rows and ``DS(t)``
+in evaluation order are pinned against the straightforward formulations
+kept here as specs: the 3-D broadcast dominance matrix,
+``~M.any(axis=0)``, one submatrix reduction per tuple, one column scan
+per tuple, bit arithmetic on Python ints and a ``(|DS(s)|, s)`` key
+sort.
 Relations up to 200 rows cross the 64- and 128-bit word boundaries of
 the packed rows; the duplicate-heavy, tie-dense grids of
 ``known_matrices`` are where dominance code breaks. The whole-matrix
@@ -27,7 +29,7 @@ from repro.skyline.dominance import dominance_matrix, skyline_mask
 from repro.skyline.dominating import (
     FrequencyOracle,
     dominating_sets_from_matrix,
-    packed_bitset_rows,
+    packed_bool_rows,
 )
 from repro.skyline.layers import covering_graph_from_matrix
 from repro.skyline.sharded import local_skyline_mask, sharded_dominance_matrix
@@ -82,7 +84,7 @@ def spec_ds_in_eval_order(dominating, t):
     return sorted(dominating[t], key=lambda s: (len(dominating[s]), s))
 
 
-def spec_packed_bitset_rows(sets, n):
+def spec_packed_rows(sets, n):
     """Bit ``i`` of a set's row at word ``i >> 6``, bit ``i & 63``."""
     words = max(1, (n + 63) >> 6)
     rows = [[0] * words for _ in sets]
@@ -108,10 +110,19 @@ def assert_kernels_match(data, removed=(), block=512):
         )
         ds = dominating_sets_from_matrix(matrix, removed)
         assert ds == spec_dominating_sets(matrix, removed)
-        n = matrix.shape[0]
-        assert np.array_equal(
-            packed_bitset_rows(ds, n), spec_packed_bitset_rows(ds, n)
-        )
+        assert_packed_columns_match(matrix, removed, ds)
+
+
+def assert_packed_columns_match(matrix, removed, ds):
+    """Columns of ``matrix`` masked by ``~removed`` and packed, as
+    ``parallel._disjoint_batches`` builds its rows, are the bits of
+    each ``DS(t)``."""
+    n = matrix.shape[0]
+    dropped = np.zeros(n, dtype=bool)
+    dropped[sorted(removed)] = True
+    assert np.array_equal(
+        packed_bool_rows(matrix.T & ~dropped), spec_packed_rows(ds, n)
+    )
 
 
 @KERNEL_SETTINGS
@@ -140,9 +151,7 @@ def test_shipped_blocks_match_specs_at_block_boundaries(n):
     assert covering_graph_from_matrix(matrix) == spec_covering_graph(matrix)
     ds = dominating_sets_from_matrix(matrix, removed)
     assert ds == spec_dominating_sets(matrix, removed)
-    assert np.array_equal(
-        packed_bitset_rows(ds, n), spec_packed_bitset_rows(ds, n)
-    )
+    assert_packed_columns_match(matrix, removed, ds)
 
 
 @KERNEL_SETTINGS
@@ -151,7 +160,8 @@ def test_shipped_blocks_match_specs_at_block_boundaries(n):
 )
 def test_context_reads_ds_off_the_matrix(known):
     """``build_context`` drops the preprocessed duplicates from every
-    ``DS(t)``, and ``ds_in_eval_order`` sorts by ``(|DS(s)|, s)``.
+    ``DS(t)``, ``ds_in_eval_order`` gathers it as Python ints sorted by
+    ``(|DS(s)|, s)``, and ``eval_order`` follows the same key.
 
     Distinct crowd values make one tuple of every duplicate group
     dominate the others, so ``removed`` is never empty."""
@@ -164,11 +174,15 @@ def test_context_reads_ds_off_the_matrix(known):
     expected = spec_dominating_sets(
         spec_dominance_matrix(known), context.removed
     )
-    assert context.dominating == expected
+    assert context.ds_sizes == [len(ds) for ds in expected]
     for t in range(n):
-        assert context.ds_in_eval_order(t) == spec_ds_in_eval_order(
-            expected, t
-        )
+        members = context.ds_in_eval_order(t)
+        assert members == spec_ds_in_eval_order(expected, t)
+        assert all(type(s) is int for s in members)
+    kept = [t for t in range(n) if t not in context.removed]
+    assert context.eval_order() == sorted(
+        kept, key=lambda t: (len(expected[t]), t)
+    )
 
 
 def test_float_frequency_products_equal_int64_products():

@@ -1,5 +1,6 @@
 """Tests for the per-tuple evaluation state machine."""
 
+import numpy as np
 import pytest
 
 from repro.core.preference import PreferenceSystem
@@ -24,6 +25,13 @@ def toy_env(toy):
     return toy, prefs, frequency
 
 
+def non_skyline(relation, *labels):
+    """The bool mask ``activate`` takes: True for ``labels``."""
+    mask = np.zeros(len(relation), dtype=bool)
+    mask[[relation.index_of(x) for x in labels]] = True
+    return mask
+
+
 def make_task(toy_env, label, ds_labels, **flags):
     toy, prefs, frequency = toy_env
     t = toy.index_of(label)
@@ -39,13 +47,13 @@ class TestLifecycle:
 
     def test_double_activation_rejected(self, toy_env):
         task, _, _ = make_task(toy_env, "a", ["b"])
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         with pytest.raises(RuntimeError):
-            task.activate(set())
+            task.activate(non_skyline(toy_env[0]))
 
     def test_empty_ds_completes_as_skyline(self, toy_env):
         task, _, _ = make_task(toy_env, "a", [])
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         assert task.advance() is None
         assert task.outcome is TaskOutcome.SKYLINE
 
@@ -53,7 +61,7 @@ class TestLifecycle:
 class TestAskingPhase:
     def test_single_member_asks_one_pair(self, toy_env):
         task, toy, prefs = make_task(toy_env, "a", ["b"])
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         request = task.advance()
         assert (request.left, request.right) == (
             toy.index_of("b"), toy.index_of("a")
@@ -62,7 +70,7 @@ class TestAskingPhase:
 
     def test_dominated_after_answer(self, toy_env):
         task, toy, prefs = make_task(toy_env, "a", ["b"])
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         request = task.advance()
         prefs.add_answer(request.left, request.right, 0, L)  # b preferred
         assert task.advance() is None
@@ -70,7 +78,7 @@ class TestAskingPhase:
 
     def test_survives_all_members(self, toy_env):
         task, toy, prefs = make_task(toy_env, "f", ["b", "e"])
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         while True:
             request = task.advance()
             if request is None:
@@ -82,7 +90,7 @@ class TestAskingPhase:
     def test_equal_answer_dominates(self, toy_env):
         """s =_AC t with s ≺_AK t makes t a non-skyline tuple."""
         task, toy, prefs = make_task(toy_env, "a", ["b"])
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         request = task.advance()
         prefs.add_answer(request.left, request.right, 0, E)
         assert task.advance() is None
@@ -92,7 +100,7 @@ class TestAskingPhase:
         task, toy, prefs = make_task(
             toy_env, "j", ["b", "e", "f"], use_p3=False
         )
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         request = task.advance()
         assert request.right == toy.index_of("j")
         prefs.add_answer(request.left, request.right, 0, L)  # lost at once
@@ -103,7 +111,7 @@ class TestAskingPhase:
 class TestPruningFlags:
     def test_p1_removes_complete_non_skyline(self, toy_env):
         task, toy, prefs = make_task(toy_env, "c", ["a", "b", "e"])
-        task.activate({toy.index_of("a")})
+        task.activate(non_skyline(toy, "a"))
         assert toy.index_of("a") not in task.dominating_set
 
     def test_p1_disabled_keeps_everyone(self, toy_env):
@@ -111,13 +119,13 @@ class TestPruningFlags:
             toy_env, "c", ["a", "b", "e"], use_p1=False, use_p2=False,
             use_p3=False,
         )
-        task.activate({toy.index_of("a")})
+        task.activate(non_skyline(toy, "a"))
         assert toy.index_of("a") in task.dominating_set
 
     def test_p2_reduces_to_sky_ac(self, toy_env):
         task, toy, prefs = make_task(toy_env, "d", ["b", "e"])
         prefs.add_answer(toy.index_of("e"), toy.index_of("b"), 0, L)
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         assert task.dominating_set == [toy.index_of("e")]
 
     def test_forced_requests_without_p2(self, toy_env):
@@ -128,7 +136,7 @@ class TestPruningFlags:
         b, e, d = (toy.index_of(x) for x in "bed")
         prefs.add_answer(e, b, 0, L)
         prefs.add_answer(e, d, 0, L)  # derivable: d loses to e
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         request = task.advance()
         assert request is not None and request.force
 
@@ -139,7 +147,7 @@ class TestPruningFlags:
             toy_env, "d", ["b", "e"],
             use_p1=False, use_p2=False, use_p3=False,
         )
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         asked = 0
         while True:
             request = task.advance()
@@ -156,7 +164,7 @@ class TestPruningFlags:
             toy_env, "f", ["a", "b", "d", "e"],
             use_p1=False, use_p2=False, use_p3=False,
         )
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         asked = 0
         while True:
             request = task.advance()
@@ -171,14 +179,14 @@ class TestPruningFlags:
 class TestProbingPhase:
     def test_probe_pairs_before_questions(self, toy_env):
         task, toy, prefs = make_task(toy_env, "d", ["b", "e"])
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         request = task.advance()
         b, e = toy.index_of("b"), toy.index_of("e")
         assert {request.left, request.right} == {b, e}
 
     def test_probe_answer_removes_loser(self, toy_env):
         task, toy, prefs = make_task(toy_env, "d", ["b", "e"])
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         request = task.advance()
         e = toy.index_of("e")
         winner_is_left = request.left == e
@@ -192,7 +200,7 @@ class TestProbingPhase:
 
     def test_probe_tie_keeps_one_member(self, toy_env):
         task, toy, prefs = make_task(toy_env, "d", ["b", "e"])
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         request = task.advance()
         prefs.add_answer(request.left, request.right, 0, E)
         task.advance()
@@ -200,7 +208,7 @@ class TestProbingPhase:
 
     def test_probe_skipped_without_p3(self, toy_env):
         task, toy, prefs = make_task(toy_env, "d", ["b", "e"], use_p3=False)
-        task.activate(set())
+        task.activate(non_skyline(toy_env[0]))
         request = task.advance()
         assert request.right == toy.index_of("d")  # directly in Q(t)
 
@@ -222,7 +230,7 @@ class TestMultiAttribute:
         task = TupleTask(0, [1, 2], prefs, frequency)
         prefs.add_answer(1, 2, 0, L)
         prefs.add_answer(1, 2, 1, R)  # incomparable in AC
-        task.activate(set())
+        task.activate(np.zeros(len(multi_crowd), dtype=bool))
         request = task.advance()
         # Probing cannot reduce {1, 2}; both must be asked against 0.
         assert task.state is TaskState.ASKING
