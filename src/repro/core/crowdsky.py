@@ -14,23 +14,26 @@ evaluation in ascending ``|DS(t)|`` order, with the pruning ladder
 
 The :class:`PruningLevel` presets mirror the paper's Figures 6-7 series
 (``Baseline`` is :func:`repro.core.baseline.baseline_skyline`).
+
+:class:`Evaluation` is the evaluate phase of Algorithm 1, which the §4
+schedulers keep (§4.2): every scheduler runs it and differs only in the
+policy that picks which tuples' tasks advance together into a round.
+Algorithm 1's policy is one tuple at a time (:func:`_walk`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from repro.core.engine import (
     ExecutionContext,
-    ask_pair,
+    Request,
+    ask_batch,
     build_context,
     ensure_run_header,
-    record_pref_stats,
-    record_tuple,
     request_unresolved,
-    tuple_trace,
 )
 from repro.core.preference import ContradictionPolicy
 from repro.core.result import CrowdSkylineResult
@@ -40,7 +43,11 @@ from repro.questions import Preference
 from repro.data.relation import Relation
 from repro.exceptions import BudgetExhaustedError
 from repro.obs import current_observation, phase, run_span
-from repro.obs.metrics import TUPLES_EVALUATED
+from repro.obs.metrics import (
+    CLOSURE_UPDATES,
+    PREF_CACHE_HITS,
+    TUPLES_EVALUATED,
+)
 
 
 class PruningLevel(enum.Enum):
@@ -78,7 +85,10 @@ class CrowdSkyConfig:
     ac_round_robin:
         Ask multi-attribute pairs one crowd attribute per round, skipping
         the rest once the pair's outcome is decided (the optional
-        round-robin strategy mentioned in §6.1).
+        round-robin strategy mentioned in §6.1). Serial schedulers only:
+        :func:`~repro.core.parallel.parallel_dset` and
+        :func:`~repro.core.parallel.parallel_sl` raise
+        :class:`~repro.exceptions.CrowdSkyError` on it.
     probe_ascending:
         Ablation: probe pairs in ascending ``freq`` order (Algorithm 1
         line 11's literal wording) instead of the prose's descending.
@@ -133,6 +143,18 @@ class CrowdSkyConfig:
             "shard_partitioner": self.shard_partitioner,
         }
 
+    def context_options(self) -> Dict[str, Any]:
+        """The :func:`~repro.core.engine.build_context` keywords this
+        config sets."""
+        return {
+            "policy": self.policy,
+            "ac_round_robin": self.ac_round_robin,
+            "backend": self.backend,
+            "shards": self.shards,
+            "shard_jobs": self.shard_jobs,
+            "shard_partitioner": self.shard_partitioner,
+        }
+
     @classmethod
     def from_payload(cls, payload: dict) -> "CrowdSkyConfig":
         """Inverse of :meth:`to_payload` (the resume path).
@@ -150,6 +172,136 @@ class CrowdSkyConfig:
             shards=payload.get("shards", 1),
             shard_jobs=payload.get("shard_jobs", 1),
             shard_partitioner=payload.get("shard_partitioner", "range"),
+        )
+
+
+class Evaluation:
+    """The evaluate phase of one run, shared by every scheduler.
+
+    Each tuple with a non-empty ``DS(t)`` is evaluated by a
+    :class:`TupleTask`; the schedulers differ only in which tasks
+    advance together into a round. :meth:`start` builds and activates a
+    task, :meth:`step` advances a set of tasks by one round, and
+    :meth:`decide` records a tuple's outcome: P1's mask, the skyline,
+    the complete set and the ``engine.tuple`` accounting.
+    """
+
+    def __init__(
+        self, context: ExecutionContext, config: CrowdSkyConfig
+    ) -> None:
+        self.context = context
+        level = config.pruning
+        self._task_options = dict(
+            use_p1=level.use_p1,
+            use_p2=level.use_p2,
+            use_p3=level.use_p3,
+            probe_ascending=config.probe_ascending,
+            multiway=config.multiway,
+        )
+        self.skyline: Set[int] = set()
+        #: The complete tuples: preprocessed ones plus every decided one.
+        self.complete: Set[int] = set(context.removed)
+        #: P1's mask: True for the complete non-skyline tuples, which
+        #: include the preprocessed ones.
+        self.non_skyline = ~context.keep
+        observation = current_observation()
+        self._trace = observation.tracer if observation.enabled else None
+
+    def start(self, t: int) -> TupleTask:
+        """Build and activate the task of tuple ``t``."""
+        context = self.context
+        task = TupleTask(
+            t,
+            context.ds_in_eval_order(t),
+            context.prefs,
+            context.frequency,
+            **self._task_options,
+        )
+        task.activate(self.non_skyline)
+        return task
+
+    def decide(self, t: int, outcome: TaskOutcome) -> None:
+        """Record ``t`` as complete with ``outcome``: counter always,
+        event when tracing."""
+        if outcome is TaskOutcome.NON_SKYLINE:
+            self.non_skyline[t] = True
+        else:
+            self.skyline.add(t)
+        self.complete.add(t)
+        value = outcome.value
+        self.context.crowd.count_metric(TUPLES_EVALUATED, outcome=value)
+        if self._trace is not None:
+            self._trace.event("engine.tuple", t=t, outcome=value)
+
+    def step(self, tasks: Iterable[TupleTask]) -> List[TupleTask]:
+        """Advance ``tasks`` by one round; return those still running.
+
+        A task with nothing left to ask is decided before the next task
+        is drawn from ``tasks``, so a lazy policy can ready the tuples
+        that wait on it in the same pass. The other tasks' requests are
+        posted together as one round, and a task abandons a request the
+        crowd gave up on.
+        """
+        running: List[TupleTask] = []
+        requests: List[Request] = []
+        for task in tasks:
+            request = task.advance()
+            if request is None:
+                self.decide(task.t, task.outcome)
+            else:
+                running.append(task)
+                requests.append(request)
+        if requests:
+            context = self.context
+            ask_batch(context, requests)
+            for task, request in zip(running, requests):
+                if request_unresolved(context, request):
+                    task.abandon_request(request)
+        return running
+
+    def lockstep(self, tasks: List[TupleTask]) -> None:
+        """Advance ``tasks`` together, one round at a time, until every
+        one of them is decided."""
+        while tasks:
+            tasks = self.step(tasks)
+
+    def result(
+        self, algorithm: str, budget_exhausted: Optional[bool] = None
+    ) -> CrowdSkylineResult:
+        """Assemble the run's result.
+
+        Budgeted runs pass ``budget_exhausted`` (whether the budget
+        stopped the walk) and get ``complete_tuples`` counted; the other
+        runs leave it None.
+        """
+        context = self.context
+        crowd = context.crowd
+        # The closure's memo-hit and update tallies are cumulative, so
+        # they are exported once per run, here, off the hot path.
+        prefs = context.prefs
+        if prefs.cache_hits:
+            crowd.count_metric(
+                PREF_CACHE_HITS, prefs.cache_hits, backend=prefs.backend
+            )
+        updates = prefs.closure_updates()
+        if updates:
+            crowd.count_metric(CLOSURE_UPDATES, updates, backend=prefs.backend)
+        stopped = bool(budget_exhausted)
+        return CrowdSkylineResult(
+            skyline=self.skyline,
+            stats=crowd.stats,
+            question_log=list(crowd.question_log),
+            algorithm=algorithm,
+            rejected_answers=prefs.total_rejected(),
+            budget_exhausted=stopped or crowd.budget_degraded,
+            complete_tuples=(
+                None if budget_exhausted is None else len(self.complete)
+            ),
+            degraded=stopped or context.degraded,
+            unresolved_pairs=sorted(context.unresolved_pairs),
+            fault_stats=crowd.fault_stats,
+            metrics=crowd.metrics,
+            cost_records=list(crowd.cost_records),
         )
 
 
@@ -197,17 +349,12 @@ def crowdsky(
         "crowdsky", n=len(relation), pruning=config.pruning.value
     ) as span:
         context = build_context(
-            relation,
-            crowd,
-            policy=config.policy,
-            ac_round_robin=config.ac_round_robin,
-            visible_crowd=visible,
-            backend=config.backend,
-            shards=config.shards,
-            shard_jobs=config.shard_jobs,
-            shard_partitioner=config.shard_partitioner,
+            relation, crowd, visible_crowd=visible, **config.context_options()
         )
-        result = _run_serial(context, config)
+        evaluation = Evaluation(context, config)
+        with phase("evaluate"):
+            _walk(evaluation, config.pruning.use_p1)
+        result = evaluation.result(f"CrowdSky[{config.pruning.value}]")
     if span is not None:
         result.wall_time_s = span.duration_s
     return result
@@ -247,105 +394,79 @@ def crowdsky_budgeted(
     with run_span(
         "crowdsky_budgeted", n=len(relation), budget=max_questions
     ) as span:
-        result = _run_budgeted(relation, crowd, config, max_questions)
+        try:
+            context = build_context(
+                relation, crowd, **config.context_options()
+            )
+        except BudgetExhaustedError:
+            # Not even the degenerate-case preprocessing fit the budget.
+            # With zero AC knowledge every tuple is incomparable and by
+            # default in the skyline (§2.3).
+            result = CrowdSkylineResult(
+                skyline=set(range(len(relation))),
+                stats=crowd.stats,
+                question_log=list(crowd.question_log),
+                algorithm=f"CrowdSky[budget={max_questions}]",
+                budget_exhausted=True,
+                complete_tuples=0,
+                degraded=True,
+                fault_stats=crowd.fault_stats,
+                metrics=crowd.metrics,
+                cost_records=list(crowd.cost_records),
+            )
+        else:
+            evaluation = Evaluation(context, config)
+            exhausted = False
+            with phase("evaluate"):
+                try:
+                    _walk(evaluation, config.pruning.use_p1)
+                except BudgetExhaustedError:
+                    exhausted = True
+            _finalize_default_skyline(evaluation)
+            result = evaluation.result(
+                f"CrowdSky[{config.pruning.value}, budget={max_questions}]",
+                budget_exhausted=exhausted,
+            )
     if span is not None:
         result.wall_time_s = span.duration_s
     return result
 
 
-def _run_budgeted(
-    relation: Relation,
-    crowd: SimulatedCrowd,
-    config: CrowdSkyConfig,
-    max_questions: int,
-) -> CrowdSkylineResult:
-    try:
-        context = build_context(
-            relation,
-            crowd,
-            policy=config.policy,
-            ac_round_robin=config.ac_round_robin,
-            backend=config.backend,
-            shards=config.shards,
-            shard_jobs=config.shard_jobs,
-            shard_partitioner=config.shard_partitioner,
-        )
-    except BudgetExhaustedError:
-        # Not even the degenerate-case preprocessing fit the budget. With
-        # zero AC knowledge every tuple is incomparable and by default in
-        # the skyline (§2.3).
-        return CrowdSkylineResult(
-            skyline=set(range(len(relation))),
-            stats=crowd.stats,
-            question_log=list(crowd.question_log),
-            algorithm=f"CrowdSky[budget={max_questions}]",
-            budget_exhausted=True,
-            complete_tuples=0,
-            degraded=True,
-            fault_stats=crowd.fault_stats,
-            metrics=crowd.metrics,
-            cost_records=list(crowd.cost_records),
-        )
-    level = config.pruning
-    order = context.eval_order() if level.use_p1 else [
-        t for t in range(context.n) if t not in context.removed
-    ]
+def _walk(evaluation: Evaluation, use_p1: bool) -> None:
+    """Algorithm 1's policy: one tuple at a time, in ``(|DS|, t)``
+    order with P1 and in index order without it, each evaluated to
+    completion before the next starts."""
+    context = evaluation.context
+    if use_p1:
+        order = context.eval_order()
+    else:
+        order = [t for t in range(context.n) if t not in context.removed]
+    for t in order:
+        if not context.ds_sizes[t]:
+            # Complete skyline tuple from the start (§2.3).
+            evaluation.decide(t, TaskOutcome.SKYLINE)
+            continue
+        context.crowd.set_cost_context(phase="evaluate", tuple=t)
+        evaluation.lockstep([evaluation.start(t)])
 
-    complete_non_skyline = ~context.keep
-    skyline: Set[int] = set()
-    complete = len(context.removed)
-    exhausted = False
-    undecided: Set[int] = set()
 
-    with phase("evaluate"):
-        trace = tuple_trace()
-        for t in order:
-            if exhausted:
-                undecided.add(t)
-                continue
-            if not context.ds_sizes[t]:
-                skyline.add(t)
-                complete += 1
-                record_tuple(context, trace, t, "skyline")
-                continue
-            context.crowd.set_cost_context(phase="evaluate", tuple=t)
-            task = TupleTask(
-                t,
-                context.ds_in_eval_order(t),
-                context.prefs,
-                context.frequency,
-                use_p1=level.use_p1,
-                use_p2=level.use_p2,
-                use_p3=level.use_p3,
-                probe_ascending=config.probe_ascending,
-                multiway=config.multiway,
-            )
-            task.activate(complete_non_skyline)
-            try:
-                request = task.advance()
-                while request is not None:
-                    ask_pair(context, request)
-                    if request_unresolved(context, request):
-                        task.abandon_request(request)
-                    request = task.advance()
-            except BudgetExhaustedError:
-                exhausted = True
-                undecided.add(t)
-                continue
-            complete += 1
-            if task.outcome is TaskOutcome.NON_SKYLINE:
-                complete_non_skyline[t] = True
-            else:
-                skyline.add(t)
-            record_tuple(context, trace, t, task.outcome.value)
+def _finalize_default_skyline(evaluation: Evaluation) -> None:
+    """Default-skyline finalization of the tuples a budget left
+    undecided: keep each unless a dominating-set member already
+    dominates it in current knowledge (any member counts — even a
+    non-skyline one dominates ``t`` in ``A``).
 
+    All candidate pairs are settled against the closure in one batch;
+    each undecided ``DS(t)`` is gathered once and reused (it is fixed
+    here).
+    """
+    context = evaluation.context
     context.crowd.set_cost_context(phase="finalize", tuple=None)
-    # Default-skyline finalization for undecided tuples: keep them unless
-    # a dominating-set member already dominates them in current knowledge
-    # (any member counts — even a non-skyline one dominates t in A).
-    # All candidate pairs are settled against the closure in one batch;
-    # each undecided DS(t) is gathered once and reused (it is fixed here).
-    candidates = {t: context.ds_in_eval_order(t) for t in sorted(undecided)}
+    candidates = {
+        t: context.ds_in_eval_order(t)
+        for t in range(context.n)
+        if t not in evaluation.complete
+    }
     finalize = context.prefs.resolve_pairs(
         (s, t) for t, members in candidates.items() for s in members
     )
@@ -358,80 +479,4 @@ def _run_budgeted(
             for s in members
         )
         if not dominated:
-            skyline.add(t)
-
-    record_pref_stats(context)
-    return CrowdSkylineResult(
-        skyline=skyline,
-        stats=context.crowd.stats,
-        question_log=list(context.crowd.question_log),
-        algorithm=f"CrowdSky[{level.value}, budget={max_questions}]",
-        rejected_answers=context.prefs.total_rejected(),
-        budget_exhausted=exhausted or context.crowd.budget_degraded,
-        complete_tuples=complete,
-        degraded=exhausted or context.degraded,
-        unresolved_pairs=sorted(context.unresolved_pairs),
-        fault_stats=context.crowd.fault_stats,
-        metrics=context.crowd.metrics,
-        cost_records=list(context.crowd.cost_records),
-    )
-
-
-def _run_serial(
-    context: ExecutionContext, config: CrowdSkyConfig
-) -> CrowdSkylineResult:
-    level = config.pruning
-    if level.use_p1:
-        order = context.eval_order()
-    else:
-        order = [t for t in range(context.n) if t not in context.removed]
-
-    complete_non_skyline = ~context.keep
-    skyline: Set[int] = set()
-
-    with phase("evaluate"):
-        trace = tuple_trace()
-        for t in order:
-            if not context.ds_sizes[t]:
-                skyline.add(t)  # complete skyline tuple from start (§2.3)
-                record_tuple(context, trace, t, "skyline")
-                continue
-            context.crowd.set_cost_context(phase="evaluate", tuple=t)
-            task = TupleTask(
-                t,
-                context.ds_in_eval_order(t),
-                context.prefs,
-                context.frequency,
-                use_p1=level.use_p1,
-                use_p2=level.use_p2,
-                use_p3=level.use_p3,
-                probe_ascending=config.probe_ascending,
-                multiway=config.multiway,
-            )
-            task.activate(complete_non_skyline)
-            request = task.advance()
-            while request is not None:
-                ask_pair(context, request)
-                if request_unresolved(context, request):
-                    task.abandon_request(request)
-                request = task.advance()
-            if task.outcome is TaskOutcome.NON_SKYLINE:
-                complete_non_skyline[t] = True
-            else:
-                skyline.add(t)
-            record_tuple(context, trace, t, task.outcome.value)
-
-    record_pref_stats(context)
-    return CrowdSkylineResult(
-        skyline=skyline,
-        stats=context.crowd.stats,
-        question_log=list(context.crowd.question_log),
-        algorithm=f"CrowdSky[{level.value}]",
-        rejected_answers=context.prefs.total_rejected(),
-        degraded=context.degraded,
-        unresolved_pairs=sorted(context.unresolved_pairs),
-        fault_stats=context.crowd.fault_stats,
-        budget_exhausted=context.crowd.budget_degraded,
-        metrics=context.crowd.metrics,
-        cost_records=list(context.crowd.cost_records),
-    )
+            evaluation.skyline.add(t)

@@ -14,7 +14,8 @@ specification:
   ``(|DS(s)|, s)`` order by a key sort;
 * the complete non-skyline tuples as a set the spec tasks fill
   themselves, read by the spec P1 and by a scalar first-fit
-  :func:`spec_disjoint_batches`.
+  :func:`spec_disjoint_batches`, which drops them from each ``DS(t)``
+  where the program's batches use whole matrix columns.
 
 Both sides must ask the same questions in the same rounds and return
 the same skyline, for every scheduler, pruning level, ``|AC|`` of 1 or
@@ -23,10 +24,18 @@ tie-heavy ones included) under perfect, seeded noisy and
 fault-injecting crowds — the last so that ``abandon_request`` runs in
 the middle of a ladder. The module is in the ``pref`` suite, which CI
 runs under each ``REPRO_PREF_BACKEND``.
+
+The spec is patched in where the program looks it up: ``TupleTask`` at
+its one construction site, :class:`repro.core.crowdsky.Evaluation`, and
+``build_context`` in both scheduler modules. Every spec run counts the
+spec tasks and contexts it builds and fails when a run that evaluates a
+tuple with a non-empty ``DS(t)`` built none of them, so a construction
+moved behind a name this module does not patch cannot pass unseen.
 """
 
 import importlib
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields
 from unittest import mock
@@ -85,6 +94,10 @@ SCHEDULERS = {
 #: that stops advancing would otherwise hang the suite.
 RUN_DEADLINE_S = 20
 
+#: What the current spec run built: ``build_context`` calls, contexts
+#: holding a tuple with a non-empty ``DS(t)``, and spec tasks.
+SPEC_CALLS: Counter = Counter()
+
 
 class SpecTupleTask:
     """The earlier per-tuple walk, kept as the specification.
@@ -112,6 +125,7 @@ class SpecTupleTask:
     ):
         if multiway < 2:
             raise ValueError("multiway group size must be at least 2")
+        SPEC_CALLS["tasks"] += 1
         self.t = t
         self._ds = list(dominating_set)
         self._prefs = prefs
@@ -316,7 +330,7 @@ def spec_context(context):
     return spec
 
 
-def spec_disjoint_batches(context, members, _mask):
+def spec_disjoint_batches(context, members):
     """First-fit batches of pairwise disjoint ``DS(t) − non-skyline``,
     one set intersection at a time."""
     batches, unions = [], []
@@ -334,14 +348,19 @@ def spec_disjoint_batches(context, members, _mask):
 
 
 def spec_build_context(*args, **kwargs):
-    return spec_context(build_context(*args, **kwargs))
+    SPEC_CALLS["build_context"] += 1
+    spec = spec_context(build_context(*args, **kwargs))
+    if any(spec.ds_sizes[t] for t in spec.eval_order()):
+        SPEC_CALLS["contexts_with_ds"] += 1
+    return spec
 
 
 @contextmanager
 def spec_evaluate_phase():
-    """Run the schedulers on the spec walk, sets and batches."""
+    """Run the schedulers on the spec walk, sets and batches; yields
+    :data:`SPEC_CALLS`, reset for this run."""
+    SPEC_CALLS.clear()
     with mock.patch.object(crowdsky_module, "TupleTask", SpecTupleTask), \
-            mock.patch.object(parallel_module, "TupleTask", SpecTupleTask), \
             mock.patch.object(
                 crowdsky_module, "build_context", spec_build_context
             ), \
@@ -351,7 +370,7 @@ def spec_evaluate_phase():
             mock.patch.object(
                 parallel_module, "_disjoint_batches", spec_disjoint_batches
             ):
-        yield
+        yield SPEC_CALLS
 
 
 @contextmanager
@@ -407,8 +426,13 @@ def run_both(relation, scheduler, config, crowd_kind, seed):
     run = SCHEDULERS[scheduler]
     with deadline(RUN_DEADLINE_S):
         change = run(relation, make_crowd(relation, crowd_kind, seed), config)
-    with spec_evaluate_phase(), deadline(RUN_DEADLINE_S):
+    with spec_evaluate_phase() as calls, deadline(RUN_DEADLINE_S):
         spec = run(relation, make_crowd(relation, crowd_kind, seed), config)
+    # The spec must have been in use: a run that evaluates a tuple with
+    # a non-empty DS(t) builds its context and its tasks from the spec.
+    assert calls["build_context"] == 1, dict(calls)
+    if calls["contexts_with_ds"]:
+        assert calls["tasks"] > 0, dict(calls)
     return outputs(change), outputs(spec)
 
 

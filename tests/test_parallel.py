@@ -4,8 +4,11 @@ import pytest
 
 from repro.core.crowdsky import CrowdSkyConfig, PruningLevel, crowdsky
 from repro.core.parallel import parallel_dset, parallel_sl
+from repro.crowd.journal import recover_journal
+from repro.crowd.platform import SimulatedCrowd
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.data.toy import FIGURE1_SKYLINE_LABELS, figure1_dataset
+from repro.exceptions import CrowdSkyError
 from repro.metrics.accuracy import ground_truth_skyline
 
 
@@ -137,3 +140,23 @@ class TestPruningConfigs:
         )
         result = algorithm(relation, config=CrowdSkyConfig(pruning=level))
         assert result.skyline == ground_truth_skyline(relation)
+
+
+class TestRoundRobinRefused:
+    """Round robin is for the serial schedulers only: a parallel round
+    asks every attribute of its pairs at once, so both parallel
+    schedulers refuse the option before they journal or ask anything."""
+
+    @pytest.mark.parametrize("algorithm", [parallel_dset, parallel_sl])
+    def test_raises_before_header_or_question(self, algorithm, tmp_path):
+        relation = generate_synthetic(
+            30, 2, 2, Distribution.INDEPENDENT, seed=5
+        )
+        journal = tmp_path / "journal"
+        crowd = SimulatedCrowd(relation, journal=journal)
+        with pytest.raises(CrowdSkyError, match="ac_round_robin"):
+            algorithm(
+                relation, crowd, config=CrowdSkyConfig(ac_round_robin=True)
+            )
+        assert crowd.stats.questions == 0
+        assert recover_journal(journal).header is None
