@@ -34,6 +34,7 @@ from repro.core.engine import (
     build_context,
     ensure_run_header,
     request_unresolved,
+    visible_tuples,
 )
 from repro.core.preference import ContradictionPolicy
 from repro.core.result import CrowdSkylineResult
@@ -337,9 +338,7 @@ def crowdsky(
     if crowd is None:
         crowd = SimulatedCrowd(relation)
     crowd.set_cost_context(scheduler="crowdsky")
-    visible = (
-        sorted(set(visible_crowd)) if visible_crowd is not None else None
-    )
+    visible = visible_tuples(relation, visible_crowd)
     ensure_run_header(
         crowd,
         "crowdsky",
@@ -463,7 +462,7 @@ def _finalize_default_skyline(evaluation: Evaluation) -> None:
     context = evaluation.context
     context.crowd.set_cost_context(phase="finalize", tuple=None)
     candidates = {
-        t: context.ds_in_eval_order(t)
+        t: context.ds_in_eval_order(t).tolist()
         for t in range(context.n)
         if t not in evaluation.complete
     }

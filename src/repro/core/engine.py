@@ -10,6 +10,7 @@ evaluate phase built on them is
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple as TupleT, Union
 
@@ -83,11 +84,12 @@ class ExecutionContext:
         removed = self.removed
         return [t for t in self.order.tolist() if t not in removed]
 
-    def ds_in_eval_order(self, t: int) -> List[int]:
+    def ds_in_eval_order(self, t: int) -> np.ndarray:
         """``DS(t)`` members sorted by their own evaluation position,
-        i.e. by ``(|DS(s)|, s)``: column ``t`` gathered in that order."""
+        i.e. by ``(|DS(s)|, s)``: column ``t`` gathered in that order,
+        as an int64 array."""
         order = self.order
-        return order[np.flatnonzero(self.matrix[order, t])].tolist()
+        return order[np.flatnonzero(self.matrix[order, t])]
 
 
 def seed_visible_preferences(
@@ -125,6 +127,35 @@ def seed_visible_preferences(
             prefs.add_answer(left, right, attribute, answer)  # repro: noqa RA016 - pre-round machine seeding, no transaction exists yet
             edges += 1
     return edges
+
+
+def visible_tuples(
+    relation: Relation, visible_crowd: Optional[Iterable[int]]
+) -> Optional[List[int]]:
+    """``visible_crowd`` as the sorted, distinct tuple indices a run's
+    journal header records, or None when it is None.
+
+    Raises :class:`CrowdSkyError` naming the first entry that is not
+    an integer in ``[0, n)``. Every entry point calls this before it
+    writes the header, so a bad index leaves neither a header nor a
+    question behind.
+    """
+    if visible_crowd is None:
+        return None
+    n = len(relation)
+    visible: Set[int] = set()
+    for entry in visible_crowd:
+        try:
+            t = operator.index(entry)
+        except TypeError:
+            t = -1
+        if not 0 <= t < n:
+            raise CrowdSkyError(
+                f"visible_crowd entry {entry!r} is not a tuple index in "
+                f"[0, {n})"
+            )
+        visible.add(t)
+    return sorted(visible)
 
 
 def ensure_run_header(

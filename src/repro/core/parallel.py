@@ -24,7 +24,8 @@ per-tuple state machine and pruning rules and preserve its correctness
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+import heapq
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from repro.core.engine import (
     ExecutionContext,
     build_context,
     ensure_run_header,
+    visible_tuples,
 )
 from repro.core.result import CrowdSkylineResult
 from repro.core.tasks import TaskOutcome, TupleTask
@@ -68,9 +70,7 @@ def _run(
     if crowd is None:
         crowd = SimulatedCrowd(relation)
     crowd.set_cost_context(scheduler=scheduler)
-    visible = (
-        sorted(set(visible_crowd)) if visible_crowd is not None else None
-    )
+    visible = visible_tuples(relation, visible_crowd)
     ensure_run_header(
         crowd,
         scheduler,
@@ -190,10 +190,17 @@ def _sl_policy(evaluation: Evaluation) -> None:
     """Each round, every undecided tuple whose direct dominators
     ``c(t)`` are complete, in evaluation order.
 
-    Tasks are drawn into a round lazily. A tuple decided while the
-    round is being gathered readies the later tuples waiting on it in
-    the same pass; a further pass picks up the earlier ones, until a
-    pass decides nothing.
+    Tasks are drawn into a round lazily, in evaluation order. A tuple
+    decided while the round is being gathered readies the tuples waiting
+    on it in the same pass: it dominates them, so its ``DS`` is a strict
+    subset of theirs, and they all lie after it in evaluation order.
+
+    Readiness is event-driven: each pending tuple counts its direct
+    dominators that are not yet complete, and each tuple lists the
+    positions of the tuples waiting on it, so a decision touches only
+    its waiters. A position heap orders the pass, and the running tasks
+    carry over into the next round's heap. The draws are those of a
+    scan of every pending tuple, repeated until a scan decides nothing.
     """
     context = evaluation.context
     complete = evaluation.complete
@@ -205,25 +212,34 @@ def _sl_policy(evaluation: Evaluation) -> None:
         else:
             # SL1: complete skyline tuples, C's seed.
             evaluation.decide(t, TaskOutcome.SKYLINE)
+    # blocked[i]: direct dominators of pending[i] not yet complete;
+    # waiters[s]: positions of the pending tuples that wait on s.
+    blocked: List[int] = []
+    waiters: Dict[int, List[int]] = {}
+    queue: List[int] = []
+    for i, t in enumerate(pending):
+        blockers = [s for s in cover[t] if s not in complete]
+        blocked.append(len(blockers))
+        for s in blockers:
+            waiters.setdefault(s, []).append(i)
+        if not blockers:
+            queue.append(i)
+    # The running tasks, by position.
     tasks: Dict[int, TupleTask] = {}
 
-    def ready() -> Iterator[TupleTask]:
-        drawn: Set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for t in pending:
-                if t in complete or t in drawn:
-                    continue
-                task = tasks.get(t)
-                if task is None:
-                    if not cover[t] <= complete:
-                        continue
-                    task = tasks[t] = evaluation.start(t)
-                drawn.add(t)
-                yield task
-                if t in complete:
-                    changed = True
+    def ready(heap: List[int]) -> Iterator[TupleTask]:
+        while heap:
+            i = heapq.heappop(heap)
+            task = tasks.get(i)
+            if task is None:
+                task = tasks[i] = evaluation.start(pending[i])
+            yield task
+            if task.t in complete:
+                del tasks[i]
+                for waiter in waiters.pop(task.t, ()):
+                    blocked[waiter] -= 1
+                    if not blocked[waiter]:
+                        heapq.heappush(heap, waiter)
 
     with phase("evaluate"):
         wave = 0
@@ -231,8 +247,9 @@ def _sl_policy(evaluation: Evaluation) -> None:
             wave += 1
             # Each activation wave is one "layer" for attribution.
             context.crowd.set_cost_context(phase="evaluate", layer=wave)
-            if not evaluation.step(ready()) and len(complete) < context.n:
+            if not evaluation.step(ready(queue)) and len(complete) < context.n:
                 raise CrowdSkyError(  # pragma: no cover
                     "ParallelSL deadlock: tuples waiting on incomplete "
                     "dominators with no questions in flight"
                 )
+            queue = sorted(tasks)

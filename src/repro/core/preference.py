@@ -242,7 +242,10 @@ class _BasePreferenceGraph:
         return self._find(u)
 
     def find_roots(self, nodes: Sequence[int]) -> np.ndarray:
-        """Class representatives of an array of tuple indices."""
+        """Class representatives of an array of tuple indices.
+
+        This union-find walk per node is the specification; the numpy
+        backend overrides it with one gather."""
         find = self._find
         return np.fromiter(
             (find(int(x)) for x in nodes), dtype=np.int64, count=len(nodes)
@@ -374,6 +377,9 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
             ).astype(np.uint64)
         # Row r is live (a class representative) iff _is_rep[r].
         self._is_rep = np.ones(n, dtype=bool)
+        #: Every tuple's class representative, kept equal to
+        #: ``_find`` on each merge, so :meth:`find_roots` is one gather.
+        self._root = np.arange(n, dtype=np.int64)
 
     # -- row helpers -----------------------------------------------------
 
@@ -427,6 +433,7 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
         self._desc[drop] = 0
         self._anc[drop] = 0
         self._is_rep[drop] = False
+        self._root[self._root == drop] = keep
         self._broadcast(above, below, below | members, above | members)
 
     # -- fast scalar queries ---------------------------------------------
@@ -443,6 +450,11 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
         return None
 
     # -- bulk query kernel -----------------------------------------------
+
+    def find_roots(self, nodes: Sequence[int]) -> np.ndarray:
+        """Class representatives of an array of tuple indices, as one
+        gather from the representative array."""
+        return self._root[np.asarray(nodes, dtype=np.int64)]
 
     def relations_batch(
         self, us: Sequence[int], vs: Sequence[int]
@@ -810,42 +822,40 @@ class PreferenceSystem:
     def _sky_ac_numpy(self, members: Sequence[int]) -> List[int]:
         """Vectorized ``SKY_AC`` for any ``|AC|`` (numpy backend).
 
-        For every member ``v`` the survivorship test of the generic loop
-        — "is some other member ``u`` weakly preferred on every
-        attribute and strictly somewhere (or a fully-tied lower-index
-        twin)?" — becomes per-attribute row gathers combined with
-        bitwise AND/OR, then one masked ``any`` per member. Equivalent
-        to the generic loop bit for bit: ``v``'s own bit never appears
-        in an ancestor row, so self-comparison is excluded for free.
+        ``members`` are distinct. A member ``v`` is dominated when some
+        other member is weakly preferred on every attribute and strictly
+        somewhere: per-attribute row gathers combined with bitwise
+        AND/OR, then one masked ``any`` per member. ``v``'s own bit
+        never appears in an ancestor row, so self-comparison is excluded
+        for free. Fully tied twins share their class on every attribute,
+        so one ``lexsort`` over the members' per-attribute roots groups
+        them, and each group keeps its lowest index. Equivalent to the
+        generic loop bit for bit.
         """
         m = np.fromiter(members, dtype=np.int64, count=len(members))
-        words = self.graphs[0]._words
-        one = np.uint64(1)
-        member_bits = one << (m & 63).astype(np.uint64)
-        member_mask = np.zeros(words, dtype=np.uint64)
-        np.bitwise_or.at(member_mask, m >> 6, member_bits)
-        weak_all = strict_any = tie_all = None
+        member_mask = np.zeros(self.graphs[0]._words, dtype=np.uint64)
+        np.bitwise_or.at(
+            member_mask, m >> 6, np.uint64(1) << (m & 63).astype(np.uint64)
+        )
+        weak_all = strict_any = None
+        roots = []
         for graph in self.graphs:
-            roots = graph.find_roots(m)
-            anc = graph._anc[roots]
-            cls = graph._cls[roots]
+            root = graph.find_roots(m)
+            roots.append(root)
+            anc = graph._anc[root]
             if weak_all is None:
-                weak_all = anc | cls
+                weak_all = anc | graph._cls[root]
                 strict_any = anc
-                tie_all = cls
             else:
-                weak_all &= anc | cls
+                weak_all &= anc | graph._cls[root]
                 strict_any = strict_any | anc
-                tie_all = tie_all & cls
         dominated = ((weak_all & strict_any) & member_mask).any(axis=1)
-        # Fully-tied twins: v is dropped iff a lower-indexed member
-        # shares its class on every attribute. Build per-member "bits
-        # strictly below v" masks and test the all-attribute tie rows.
-        cols = np.arange(words, dtype=np.int64)[None, :]
-        vw = (m >> 6)[:, None]
-        below_v = np.where(cols < vw, ~np.uint64(0), np.uint64(0))
-        below_v[cols == vw] = member_bits - one
-        tied = ((tie_all & member_mask) & below_v).any(axis=1)
+        # Sorted by roots and then by index, a member that repeats its
+        # predecessor's roots has a lower-indexed twin.
+        order = np.lexsort([m] + roots)
+        keys = np.stack(roots)[:, order]
+        tied = np.zeros(len(m), dtype=bool)
+        tied[order[1:]] = (keys[:, 1:] == keys[:, :-1]).all(axis=0)
         keep = ~(dominated | tied)
         return [v for v, kept in zip(members, keep) if kept]
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple as TupleT
+from typing import List, Optional, Sequence, Set, Tuple as TupleT, Union
 
 import numpy as np
 
@@ -89,7 +89,10 @@ class TupleTask:
     t:
         The tuple index under evaluation.
     dominating_set:
-        ``DS(t)`` members in evaluation order (ascending ``|DS(s)|``).
+        ``DS(t)`` members in evaluation order (ascending ``|DS(s)|``):
+        the int64 array
+        :meth:`~repro.core.engine.ExecutionContext.ds_in_eval_order`
+        gathers, kept as given, or any sequence of ints.
     prefs:
         The shared preference system ``T``.
     frequency:
@@ -109,7 +112,7 @@ class TupleTask:
     def __init__(
         self,
         t: int,
-        dominating_set: Sequence[int],
+        dominating_set: Union[np.ndarray, Sequence[int]],
         prefs: PreferenceSystem,
         frequency: FrequencyOracle,
         use_p1: bool = True,
@@ -121,7 +124,9 @@ class TupleTask:
         if multiway < 2:
             raise ValueError("multiway group size must be at least 2")
         self.t = t
-        self._ds: List[int] = list(dominating_set)
+        #: ``DS(t)``: the int64 array as given until activation, then
+        #: the surviving members as Python ints.
+        self._ds = np.asarray(dominating_set, dtype=np.int64)
         self._prefs = prefs
         self._frequency = frequency
         self._use_p1 = use_p1
@@ -161,11 +166,15 @@ class TupleTask:
         """Apply activation-time pruning and enter the probing phase.
 
         ``complete_non_skyline`` is a bool mask over all tuples: True
-        for the complete non-skyline tuples P1 drops."""
+        for the complete non-skyline tuples P1 drops. P1 is one fancy
+        index over the gathered array; only its survivors become the
+        Python ints that questions and journal records carry."""
         if self.state is not TaskState.PENDING:
             raise RuntimeError(f"task {self.t} activated twice")
+        ds = self._ds
         if self._use_p1:
-            self._ds = [s for s in self._ds if not complete_non_skyline[s]]
+            ds = ds[~complete_non_skyline[ds]]
+        self._ds = ds.tolist()
         if self._use_p2:
             self._ds = self._prefs.sky_ac(self._ds)
         if self._use_p3 and len(self._ds) > 1:

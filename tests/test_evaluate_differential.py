@@ -15,7 +15,10 @@ specification:
 * the complete non-skyline tuples as a set the spec tasks fill
   themselves, read by the spec P1 and by a scalar first-fit
   :func:`spec_disjoint_batches`, which drops them from each ``DS(t)``
-  where the program's batches use whole matrix columns.
+  where the program's batches use whole matrix columns;
+* :func:`spec_sl_policy` — ParallelSL's readiness as a rescan of every
+  pending tuple on every pass, where the program counts each tuple's
+  open direct dominators and orders each pass with a position heap.
 
 Both sides must ask the same questions in the same rounds and return
 the same skyline, for every scheduler, pruning level, ``|AC|`` of 1 or
@@ -26,10 +29,12 @@ the middle of a ladder. The module is in the ``pref`` suite, which CI
 runs under each ``REPRO_PREF_BACKEND``.
 
 The spec is patched in where the program looks it up: ``TupleTask`` at
-its one construction site, :class:`repro.core.crowdsky.Evaluation`, and
-``build_context`` in both scheduler modules. Every spec run counts the
-spec tasks and contexts it builds and fails when a run that evaluates a
-tuple with a non-empty ``DS(t)`` built none of them, so a construction
+its one construction site, :class:`repro.core.crowdsky.Evaluation`,
+``build_context`` in both scheduler modules, and ``_sl_policy`` in
+:mod:`repro.core.parallel`. Every spec run counts the spec tasks,
+contexts and policies it builds or runs and fails when a run that
+evaluates a tuple with a non-empty ``DS(t)`` built none of them, or a
+``parallel_sl`` run did not run the spec policy, so a construction
 moved behind a name this module does not patch cannot pass unseen.
 """
 
@@ -65,7 +70,10 @@ from repro.crowd.platform import SimulatedCrowd
 from repro.crowd.retry import RetryPolicy
 from repro.crowd.workers import WorkerPool
 from repro.data.synthetic import Distribution, generate_synthetic
+from repro.exceptions import CrowdSkyError
+from repro.obs import phase
 from repro.questions import Preference
+from repro.skyline.layers import covering_graph_from_matrix
 from tests.strategies import crowd_relations
 
 pytestmark = pytest.mark.pref
@@ -95,7 +103,8 @@ SCHEDULERS = {
 RUN_DEADLINE_S = 20
 
 #: What the current spec run built: ``build_context`` calls, contexts
-#: holding a tuple with a non-empty ``DS(t)``, and spec tasks.
+#: holding a tuple with a non-empty ``DS(t)``, spec tasks and spec
+#: ParallelSL policy runs.
 SPEC_CALLS: Counter = Counter()
 
 
@@ -127,7 +136,7 @@ class SpecTupleTask:
             raise ValueError("multiway group size must be at least 2")
         SPEC_CALLS["tasks"] += 1
         self.t = t
-        self._ds = list(dominating_set)
+        self._ds = [int(s) for s in dominating_set]
         self._prefs = prefs
         self._frequency = frequency
         self._use_p1 = use_p1
@@ -296,7 +305,8 @@ class SpecTupleTask:
 
 
 class SpecContext(ExecutionContext):
-    """An execution context whose ``DS(t)`` are Python sets."""
+    """An execution context whose ``DS(t)`` are Python sets, handed out
+    in evaluation order as the int64 arrays the program gathers."""
 
     def eval_order(self):
         ds = self.dominating
@@ -305,7 +315,9 @@ class SpecContext(ExecutionContext):
 
     def ds_in_eval_order(self, t):
         ds = self.dominating
-        return sorted(ds[t], key=lambda s: (len(ds[s]), s))
+        return np.array(
+            sorted(ds[t], key=lambda s: (len(ds[s]), s)), dtype=np.int64
+        )
 
 
 def spec_context(context):
@@ -347,6 +359,49 @@ def spec_disjoint_batches(context, members):
     return batches
 
 
+def spec_sl_policy(evaluation):
+    """ParallelSL's policy with readiness as a rescan: every pass walks
+    every pending tuple in evaluation order and draws each undecided
+    one that is running or whose direct dominators are all complete."""
+    SPEC_CALLS["sl_policy"] += 1
+    context = evaluation.context
+    complete = evaluation.complete
+    cover = covering_graph_from_matrix(context.matrix)
+    pending = []
+    for t in context.eval_order():
+        if context.ds_sizes[t]:
+            pending.append(t)
+        else:
+            evaluation.decide(t, TaskOutcome.SKYLINE)
+    tasks = {}
+
+    def ready():
+        drawn = set()
+        changed = True
+        while changed:
+            changed = False
+            for t in pending:
+                if t in complete or t in drawn:
+                    continue
+                task = tasks.get(t)
+                if task is None:
+                    if not cover[t] <= complete:
+                        continue
+                    task = tasks[t] = evaluation.start(t)
+                drawn.add(t)
+                yield task
+                if t in complete:
+                    changed = True
+
+    with phase("evaluate"):
+        wave = 0
+        while len(complete) < context.n:
+            wave += 1
+            context.crowd.set_cost_context(phase="evaluate", layer=wave)
+            if not evaluation.step(ready()) and len(complete) < context.n:
+                raise CrowdSkyError("spec ParallelSL deadlock")
+
+
 def spec_build_context(*args, **kwargs):
     SPEC_CALLS["build_context"] += 1
     spec = spec_context(build_context(*args, **kwargs))
@@ -369,7 +424,8 @@ def spec_evaluate_phase():
             ), \
             mock.patch.object(
                 parallel_module, "_disjoint_batches", spec_disjoint_batches
-            ):
+            ), \
+            mock.patch.object(parallel_module, "_sl_policy", spec_sl_policy):
         yield SPEC_CALLS
 
 
@@ -433,6 +489,7 @@ def run_both(relation, scheduler, config, crowd_kind, seed):
     assert calls["build_context"] == 1, dict(calls)
     if calls["contexts_with_ds"]:
         assert calls["tasks"] > 0, dict(calls)
+    assert calls["sl_policy"] == (scheduler == "parallel_sl"), dict(calls)
     return outputs(change), outputs(spec)
 
 
@@ -478,3 +535,22 @@ def test_faulty_runs_abandon_mid_ladder_and_match_spec(scheduler, num_crowd):
         )
     assert change == spec
     assert any(mid_ladder)
+
+
+@pytest.mark.parametrize("crowd_kind", ["perfect", "noisy"])
+@pytest.mark.parametrize("num_crowd", [1, 2])
+@pytest.mark.parametrize(
+    "distribution", [Distribution.INDEPENDENT, Distribution.ANTI_CORRELATED]
+)
+def test_sl_readiness_matches_rescan_at_n40(
+    distribution, num_crowd, crowd_kind
+):
+    """ParallelSL's event-driven readiness draws each round's tasks in
+    the rescan's order. The property's relations are too small to tell
+    a tuple readied in the current pass from one deferred to the next,
+    so these runs are larger."""
+    relation = generate_synthetic(40, 2, num_crowd, distribution, seed=23)
+    change, spec = run_both(
+        relation, "parallel_sl", CrowdSkyConfig(), crowd_kind, seed=29
+    )
+    assert change == spec

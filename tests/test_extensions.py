@@ -321,6 +321,33 @@ class TestPartialIncompleteness:
         assert result.stats.questions == 0
         assert result.skyline == ground_truth_skyline(relation)
 
+    @pytest.mark.parametrize("bad", [99, -1])
+    @pytest.mark.parametrize("algorithm_name", ["serial", "dset", "sl"])
+    def test_bad_visible_index_refused_before_header(
+        self, algorithm_name, bad, tmp_path
+    ):
+        """An entry outside ``[0, n)`` is refused before the journal
+        header or any question; it used to be journaled and then raise
+        numpy's IndexError (99) or be read as tuple n − 1 (−1)."""
+        from repro.core.parallel import parallel_dset, parallel_sl
+        from repro.crowd.journal import recover_journal
+        from repro.crowd.platform import SimulatedCrowd
+
+        algorithm = {
+            "serial": crowdsky, "dset": parallel_dset, "sl": parallel_sl,
+        }[algorithm_name]
+        relation = generate_synthetic(
+            60, 2, 1, Distribution.INDEPENDENT, seed=9
+        )
+        journal = tmp_path / "journal"
+        crowd = SimulatedCrowd(relation, journal=journal)
+        with pytest.raises(
+            CrowdSkyError, match=rf"visible_crowd entry {bad} .*\[0, 60\)"
+        ):
+            algorithm(relation, crowd, visible_crowd=[3, bad])
+        assert crowd.stats.questions == 0
+        assert recover_journal(journal).header is None
+
     def test_empty_and_singleton_visibility_noop(self):
         relation = self._dataset(seed=12)
         baseline = crowdsky(self._dataset(seed=12))

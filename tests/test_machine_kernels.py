@@ -160,8 +160,8 @@ def test_shipped_blocks_match_specs_at_block_boundaries(n):
 )
 def test_context_reads_ds_off_the_matrix(known):
     """``build_context`` drops the preprocessed duplicates from every
-    ``DS(t)``, ``ds_in_eval_order`` gathers it as Python ints sorted by
-    ``(|DS(s)|, s)``, and ``eval_order`` follows the same key.
+    ``DS(t)``, ``ds_in_eval_order`` gathers it as an int64 array sorted
+    by ``(|DS(s)|, s)``, and ``eval_order`` follows the same key.
 
     Distinct crowd values make one tuple of every duplicate group
     dominate the others, so ``removed`` is never empty."""
@@ -177,8 +177,8 @@ def test_context_reads_ds_off_the_matrix(known):
     assert context.ds_sizes == [len(ds) for ds in expected]
     for t in range(n):
         members = context.ds_in_eval_order(t)
-        assert members == spec_ds_in_eval_order(expected, t)
-        assert all(type(s) is int for s in members)
+        assert members.dtype == np.int64
+        assert members.tolist() == spec_ds_in_eval_order(expected, t)
     kept = [t for t in range(n) if t not in context.removed]
     assert context.eval_order() == sorted(
         kept, key=lambda t: (len(expected[t]), t)

@@ -182,11 +182,16 @@ class TestGraphDifferential:
                     elif u != v and rel is Preference.EQUAL:
                         assert ranks[u] == ranks[v]
 
-    @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
-    @given(answer_sequences(max_attributes=2))
-    def test_system_predicates_identical(self, sequence):
+    @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=240)
+    @given(
+        sequence=answer_sequences(max_attributes=3, tie_heavy=True),
+        data=st.data(),
+    )
+    def test_system_predicates_identical(self, sequence, data):
         """AC-level predicates (the pruning machinery's inputs) agree on
-        every ordered pair, as does the batched resolve_pairs view."""
+        every ordered pair, as do the batched resolve_pairs view, every
+        graph's class representatives and ``sky_ac`` of every prefix of
+        a drawn member order."""
         n, num_attributes, events = sequence
         systems = {
             backend: PreferenceSystem(n, num_attributes, backend=backend)
@@ -215,13 +220,16 @@ class TestGraphDifferential:
         assert_backends_agree({
             b: s.total_rejected() for b, s in systems.items()
         })
-        members = list(range(0, n, 2)) + list(range(1, n, 2))
-        assert_backends_agree({
-            b: s.sky_ac(members) for b, s in systems.items()
-        })
-        assert_backends_agree({
-            b: s.sky_ac(list(range(n))) for b, s in systems.items()
-        })
+        for system in systems.values():
+            for graph in system.graphs:
+                assert list(graph.find_roots(range(n))) == [
+                    graph.class_of(v) for v in range(n)
+                ]
+        order = data.draw(st.permutations(range(n)))
+        for size in range(n + 1):
+            assert_backends_agree({
+                b: s.sky_ac(order[:size]) for b, s in systems.items()
+            })
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(verdict_rounds())

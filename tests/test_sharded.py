@@ -253,9 +253,10 @@ def test_build_context_shard_switch_is_invisible():
         )
         assert np.array_equal(sharded.matrix, serial.matrix)
         assert sharded.ds_sizes == serial.ds_sizes
-        assert [sharded.ds_in_eval_order(t) for t in range(40)] == [
-            serial.ds_in_eval_order(t) for t in range(40)
-        ]
+        for t in range(40):
+            assert np.array_equal(
+                sharded.ds_in_eval_order(t), serial.ds_in_eval_order(t)
+            )
         assert sharded.eval_order() == serial.eval_order()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.preference import PreferenceSystem
 from repro.core.tasks import (
+    MultiwayRequest,
     PairRequest,
     TaskOutcome,
     TaskState,
@@ -235,3 +236,47 @@ class TestMultiAttribute:
         # Probing cannot reduce {1, 2}; both must be asked against 0.
         assert task.state is TaskState.ASKING
         assert len(task.dominating_set) == 2
+
+
+class TestGatheredDominatingSet:
+    """A task keeps the int64 array ``ds_in_eval_order`` gathers; its
+    requests still carry Python ints, which questions and journal
+    records need."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {},
+            {"use_p1": False, "use_p2": False, "use_p3": False},
+            {"multiway": 3},
+        ],
+    )
+    def test_requests_from_an_int64_gather_carry_python_ints(
+        self, toy_env, flags
+    ):
+        toy, prefs, frequency = toy_env
+        gathered = np.array(
+            [toy.index_of(x) for x in "abef"], dtype=np.int64
+        )
+        task = TupleTask(toy.index_of("j"), gathered, prefs, frequency,
+                         **flags)
+        task.activate(non_skyline(toy, "a"))
+        assert all(type(s) is int for s in task.dominating_set)
+        requests = []
+        while (request := task.advance()) is not None:
+            requests.append(request)
+            if isinstance(request, MultiwayRequest):
+                prefs.apply_verdicts([
+                    (request.candidates[0], loser, 0, L)
+                    for loser in request.candidates[1:]
+                ])
+            else:
+                prefs.add_answer(request.left, request.right, 0, R)
+        assert requests
+        for request in requests:
+            members = (
+                request.candidates
+                if isinstance(request, MultiwayRequest)
+                else (request.left, request.right)
+            )
+            assert all(type(s) is int for s in members), request
