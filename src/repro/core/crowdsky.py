@@ -25,24 +25,27 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.core.engine import (
     ExecutionContext,
     Request,
     ask_batch,
     build_context,
+    check_shard_options,
     ensure_run_header,
     request_unresolved,
     visible_tuples,
 )
-from repro.core.preference import ContradictionPolicy
+from repro.core.preference import ContradictionPolicy, check_backend
 from repro.core.result import CrowdSkylineResult
 from repro.core.tasks import TaskOutcome, TupleTask
 from repro.crowd.platform import SimulatedCrowd
 from repro.questions import Preference
 from repro.data.relation import Relation
-from repro.exceptions import BudgetExhaustedError
+from repro.exceptions import BudgetExhaustedError, CrowdSkyError
 from repro.obs import current_observation, phase, run_span
 from repro.obs.metrics import (
     CLOSURE_UPDATES,
@@ -95,8 +98,8 @@ class CrowdSkyConfig:
         line 11's literal wording) instead of the prose's descending.
     multiway:
         Probe with m-ary questions showing up to this many tuples at
-        once (the §2.1 extension; effective with ``|AC| = 1``). The
-        default 2 keeps the paper's pairwise format.
+        once (the §2.1 extension; effective with P3 and ``|AC| = 1``).
+        The default 2 keeps the paper's pairwise format.
     backend:
         Preference-closure backend: ``'numpy'`` (packed uint64 closure
         matrices with a bulk query kernel, the fast default) or
@@ -118,6 +121,11 @@ class CrowdSkyConfig:
     shard_partitioner:
         ``'range'`` (contiguous blocks) or ``'hash'`` (seeded hash
         assignment); see :data:`repro.skyline.sharded.PARTITIONERS`.
+
+    A ``multiway`` below 2, a ``shards`` or ``shard_jobs`` below 1, an
+    unknown ``backend`` name, or an unknown partitioner with
+    ``shards > 1`` raises :class:`~repro.exceptions.CrowdSkyError` when
+    the config is built.
     """
 
     pruning: PruningLevel = PruningLevel.P1_P2_P3
@@ -129,6 +137,20 @@ class CrowdSkyConfig:
     shards: int = 1
     shard_jobs: int = 1
     shard_partitioner: str = "range"
+
+    def __post_init__(self) -> None:
+        """Refuse an invalid config where it is built, so no entry point
+        (and no resume) writes a journal header or asks a question for
+        it."""
+        if self.multiway < 2:
+            raise CrowdSkyError(
+                f"multiway must be >= 2, got {self.multiway}"
+            )
+        check_shard_options(
+            self.shards, self.shard_jobs, self.shard_partitioner
+        )
+        if self.backend is not None:
+            check_backend(self.backend)
 
     def to_payload(self) -> dict:
         """JSON-able form, recorded in a run's journal header."""
@@ -181,10 +203,11 @@ class Evaluation:
 
     Each tuple with a non-empty ``DS(t)`` is evaluated by a
     :class:`TupleTask`; the schedulers differ only in which tasks
-    advance together into a round. :meth:`start` builds and activates a
-    task, :meth:`step` advances a set of tasks by one round, and
-    :meth:`decide` records a tuple's outcome: P1's mask, the skyline,
-    the complete set and the ``engine.tuple`` accounting.
+    advance together into a round. :meth:`start` builds and activates
+    the tasks of every tuple a policy is ready to activate, :meth:`step`
+    advances a set of tasks by one round, and :meth:`decide` records a
+    tuple's outcome: the skyline, P1's skyline rows, the complete set
+    and the ``engine.tuple`` accounting.
     """
 
     def __init__(
@@ -192,8 +215,9 @@ class Evaluation:
     ) -> None:
         self.context = context
         level = config.pruning
+        self._use_p1 = level.use_p1
+        self._use_p2 = level.use_p2
         self._task_options = dict(
-            use_p1=level.use_p1,
             use_p2=level.use_p2,
             use_p3=level.use_p3,
             probe_ascending=config.probe_ascending,
@@ -202,37 +226,76 @@ class Evaluation:
         self.skyline: Set[int] = set()
         #: The complete tuples: preprocessed ones plus every decided one.
         self.complete: Set[int] = set(context.removed)
-        #: P1's mask: True for the complete non-skyline tuples, which
-        #: include the preprocessed ones.
-        self.non_skyline = ~context.keep
+        order = context.order
+        #: Every kept tuple's position in evaluation order.
+        self._rank = np.empty(context.n, dtype=np.int64)
+        self._rank[order] = np.arange(len(order))
+        #: P1's rows: the evaluation-order positions of the skyline
+        #: tuples decided so far, sorted, in the first ``_row_count``
+        #: slots.
+        self._row_ranks = np.empty(len(order), dtype=np.int64)
+        self._row_count = 0
         observation = current_observation()
         self._trace = observation.tracer if observation.enabled else None
 
-    def start(self, t: int) -> TupleTask:
-        """Build and activate the task of tuple ``t``."""
+    def start(self, ts: Sequence[int]) -> List[TupleTask]:
+        """Build and activate the tasks of the tuples ``ts`` together.
+
+        With P1, ``DS(t)`` is read off the skyline rows found so far:
+        every member of ``DS(t)`` is complete when ``t`` is ready (the
+        walk and ParallelDSet go in ascending ``|DS|``, and ParallelSL
+        waits for ``c(t)``), so dropping the complete non-skyline
+        tuples (Corollary 1) leaves exactly ``t``'s dominators among
+        them. Without P1 it is read off every kept row. All the
+        columns are gathered in one step and become Python ints once;
+        P2 is one grouped ``sky_ac`` call, and each task then builds
+        only its probe ladder.
+        """
         context = self.context
-        task = TupleTask(
-            t,
-            context.ds_in_eval_order(t),
-            context.prefs,
-            context.frequency,
-            **self._task_options,
-        )
-        task.activate(self.non_skyline)
-        return task
+        rows = context.order
+        if self._use_p1:
+            rows = rows[self._row_ranks[: self._row_count]]
+        hits = context.matrix.T[np.asarray(ts)[:, None], rows]
+        _, at = hits.nonzero()
+        members = rows[at].tolist()
+        groups: List[List[int]] = []
+        begin = 0
+        for end in hits.sum(axis=1).cumsum().tolist():
+            groups.append(members[begin:end])
+            begin = end
+        if self._use_p2:
+            groups = context.prefs.sky_ac(groups)
+        tasks = []
+        for t, ds in zip(ts, groups):
+            task = TupleTask(
+                t, ds, context.prefs, context.frequency,
+                **self._task_options,
+            )
+            task.activate()
+            tasks.append(task)
+        return tasks
 
     def decide(self, t: int, outcome: TaskOutcome) -> None:
         """Record ``t`` as complete with ``outcome``: counter always,
         event when tracing."""
-        if outcome is TaskOutcome.NON_SKYLINE:
-            self.non_skyline[t] = True
-        else:
+        if outcome is TaskOutcome.SKYLINE:
             self.skyline.add(t)
+            self._add_row(t)
         self.complete.add(t)
         value = outcome.value
         self.context.crowd.count_metric(TUPLES_EVALUATED, outcome=value)
         if self._trace is not None:
             self._trace.event("engine.tuple", t=t, outcome=value)
+
+    def _add_row(self, t: int) -> None:
+        """Insert skyline tuple ``t`` into P1's rows at its rank."""
+        count = self._row_count
+        ranks = self._row_ranks
+        rank = self._rank[t]
+        at = int(np.searchsorted(ranks[:count], rank))
+        ranks[at + 1:count + 1] = ranks[at:count]
+        ranks[at] = rank
+        self._row_count = count + 1
 
     def step(self, tasks: Iterable[TupleTask]) -> List[TupleTask]:
         """Advance ``tasks`` by one round; return those still running.
@@ -446,7 +509,7 @@ def _walk(evaluation: Evaluation, use_p1: bool) -> None:
             evaluation.decide(t, TaskOutcome.SKYLINE)
             continue
         context.crowd.set_cost_context(phase="evaluate", tuple=t)
-        evaluation.lockstep([evaluation.start(t)])
+        evaluation.lockstep(evaluation.start([t]))
 
 
 def _finalize_default_skyline(evaluation: Evaluation) -> None:

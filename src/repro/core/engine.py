@@ -188,6 +188,22 @@ def ensure_run_header(
     )
 
 
+def check_shard_options(
+    shards: int, shard_jobs: int, shard_partitioner: str
+) -> None:
+    """Raise :class:`CrowdSkyError` on an invalid machine-phase sharding
+    option."""
+    if shards < 1:
+        raise CrowdSkyError(f"shards must be >= 1, got {shards}")
+    if shard_jobs < 1:
+        raise CrowdSkyError(f"shard_jobs must be >= 1, got {shard_jobs}")
+    if shards > 1 and shard_partitioner not in PARTITIONERS:
+        raise CrowdSkyError(
+            f"unknown partitioner {shard_partitioner!r}; "
+            f"pick from {sorted(PARTITIONERS)}"
+        )
+
+
 def build_context(
     relation: Relation,
     crowd: Optional[SimulatedCrowd] = None,
@@ -219,15 +235,7 @@ def build_context(
             "crowd-enabled skyline needs at least one crowd attribute; "
             "use repro.skyline for machine-only skylines"
         )
-    if shards < 1:
-        raise CrowdSkyError(f"shards must be >= 1, got {shards}")
-    if shard_jobs < 1:
-        raise CrowdSkyError(f"shard_jobs must be >= 1, got {shard_jobs}")
-    if shards > 1 and shard_partitioner not in PARTITIONERS:
-        raise CrowdSkyError(
-            f"unknown partitioner {shard_partitioner!r}; "
-            f"pick from {sorted(PARTITIONERS)}"
-        )
+    check_shard_options(shards, shard_jobs, shard_partitioner)
     if crowd is None:
         crowd = SimulatedCrowd(relation)
     if crowd.relation is not relation:

@@ -110,7 +110,8 @@ def parallel_dset(
 
 def _dset_policy(evaluation: Evaluation) -> None:
     """Groups of equal ``|DS(t)|`` in ascending order, each split into
-    batches of disjoint dominating sets that advance in lockstep."""
+    batches of disjoint dominating sets that are started together and
+    advance in lockstep."""
     context = evaluation.context
     with phase("evaluate"):
         # Group by |DS(t)|; the empty-DS group needs no questions.
@@ -124,7 +125,7 @@ def _dset_policy(evaluation: Evaluation) -> None:
             # Charge each |DS(t)|-group's rounds as one "layer".
             context.crowd.set_cost_context(phase="evaluate", layer=size)
             for batch in _disjoint_batches(context, groups[size]):
-                evaluation.lockstep([evaluation.start(t) for t in batch])
+                evaluation.lockstep(evaluation.start(batch))
 
 
 def _disjoint_batches(
@@ -201,6 +202,13 @@ def _sl_policy(evaluation: Evaluation) -> None:
     its waiters. A position heap orders the pass, and the running tasks
     carry over into the next round's heap. The draws are those of a
     scan of every pending tuple, repeated until a scan decides nothing.
+
+    On reaching a ready position without a task, the pass activates it
+    together with every ready position already queued, in one
+    :meth:`~repro.core.crowdsky.Evaluation.start`. Each of them gets
+    the task it would get one at a time: its ``DS`` members are all
+    complete already, and the closure does not change until the round
+    is posted.
     """
     context = evaluation.context
     complete = evaluation.complete
@@ -230,9 +238,11 @@ def _sl_policy(evaluation: Evaluation) -> None:
     def ready(heap: List[int]) -> Iterator[TupleTask]:
         while heap:
             i = heapq.heappop(heap)
-            task = tasks.get(i)
-            if task is None:
-                task = tasks[i] = evaluation.start(pending[i])
+            if i not in tasks:
+                batch = [i] + sorted(j for j in heap if j not in tasks)
+                started = evaluation.start([pending[j] for j in batch])
+                tasks.update(zip(batch, started))
+            task = tasks[i]
             yield task
             if task.t in complete:
                 del tasks[i]

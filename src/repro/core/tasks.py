@@ -2,11 +2,13 @@
 
 A :class:`TupleTask` drives one tuple ``t`` through the CrowdSky pipeline:
 
-1. **Activation** — apply P1 (drop complete non-skyline tuples from
-   ``DS(t)``, Corollary 1) and P2 (reduce to ``SKY_AC(DS(t))`` under
-   current knowledge, Corollary 2), then build the probing pair list
-   ``P(t)`` ordered by descending ``freq(u, v)`` (§3.4 — see DESIGN.md on
-   the prose/pseudocode discrepancy).
+1. **Activation** — ``DS(t)`` arrives pruned: the evaluate phase
+   (:meth:`repro.core.crowdsky.Evaluation.start`) applies P1 (only
+   skyline tuples found so far remain, Corollary 1) and P2 (reduce to
+   ``SKY_AC(DS(t))`` under current knowledge, Corollary 2) for a whole
+   batch of activations at once. The task then builds the probing pair
+   list ``P(t)`` ordered by descending ``freq(u, v)`` (§3.4 — see
+   DESIGN.md on the prose/pseudocode discrepancy).
 2. **Probing (P3)** — ask pairs inside ``DS(t)``; each resolved pair
    removes its less-preferred member and all of that member's pending
    pairs.
@@ -25,9 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple as TupleT, Union
-
-import numpy as np
+from typing import List, Optional, Sequence, Set, Tuple as TupleT
 
 from repro.core.preference import PreferenceSystem
 from repro.questions import Preference
@@ -89,33 +89,32 @@ class TupleTask:
     t:
         The tuple index under evaluation.
     dominating_set:
-        ``DS(t)`` members in evaluation order (ascending ``|DS(s)|``):
-        the int64 array
-        :meth:`~repro.core.engine.ExecutionContext.ds_in_eval_order`
-        gathers, kept as given, or any sequence of ints.
+        ``DS(t)`` members after P1 (and P2 when on) as Python ints, in
+        evaluation order (ascending ``|DS(s)|``), as
+        :meth:`~repro.core.crowdsky.Evaluation.start` hands them over.
     prefs:
         The shared preference system ``T``.
     frequency:
         ``freq(u, v)`` oracle for probing order.
-    use_p1, use_p2, use_p3:
-        Pruning toggles (all off = the paper's plain "DSet" variant, all
-        on = full CrowdSky).
+    use_p2, use_p3:
+        Pruning toggles. Without P2 every ``Q(t)`` question is asked
+        outright; without P3 there is no probing.
     probe_ascending:
         Ablation switch: probe pairs in *ascending* ``freq`` order (the
         literal reading of Algorithm 1 line 11) instead of the prose's
         descending order.
     multiway:
         Probe with m-ary questions of up to this many tuples (§2.1's
-        extension; only effective with a single crowd attribute).
+        extension; only effective with P3 and a single crowd
+        attribute).
     """
 
     def __init__(
         self,
         t: int,
-        dominating_set: Union[np.ndarray, Sequence[int]],
+        dominating_set: Sequence[int],
         prefs: PreferenceSystem,
         frequency: FrequencyOracle,
-        use_p1: bool = True,
         use_p2: bool = True,
         use_p3: bool = True,
         probe_ascending: bool = False,
@@ -124,18 +123,18 @@ class TupleTask:
         if multiway < 2:
             raise ValueError("multiway group size must be at least 2")
         self.t = t
-        #: ``DS(t)``: the int64 array as given until activation, then
-        #: the surviving members as Python ints.
-        self._ds = np.asarray(dominating_set, dtype=np.int64)
+        self._ds = list(dominating_set)
         self._prefs = prefs
         self._frequency = frequency
-        self._use_p1 = use_p1
         self._use_p2 = use_p2
         self._use_p3 = use_p3
         self._probe_ascending = probe_ascending
-        # m-ary probing only collapses groups cleanly on one attribute;
-        # with several crowd attributes the winner need not dominate.
-        self._multiway = multiway if prefs.num_attributes == 1 else 2
+        # m-ary probing is a probing method, so it needs P3, and it only
+        # collapses groups cleanly on one attribute; with several crowd
+        # attributes the winner need not dominate.
+        self._multiway = (
+            multiway if use_p3 and prefs.num_attributes == 1 else 2
+        )
         self._asked_groups: Set[TupleT[int, ...]] = set()
         #: The probe ladder, walked by ``_cursor``; a pair whose member
         #: left ``_live`` is skipped when the cursor reaches it.
@@ -162,21 +161,10 @@ class TupleTask:
             return [s for s in self._ds if s in self._live]
         return list(self._ds)
 
-    def activate(self, complete_non_skyline: np.ndarray) -> None:
-        """Apply activation-time pruning and enter the probing phase.
-
-        ``complete_non_skyline`` is a bool mask over all tuples: True
-        for the complete non-skyline tuples P1 drops. P1 is one fancy
-        index over the gathered array; only its survivors become the
-        Python ints that questions and journal records carry."""
+    def activate(self) -> None:
+        """Build the probe ladder and enter the probing phase."""
         if self.state is not TaskState.PENDING:
             raise RuntimeError(f"task {self.t} activated twice")
-        ds = self._ds
-        if self._use_p1:
-            ds = ds[~complete_non_skyline[ds]]
-        self._ds = ds.tolist()
-        if self._use_p2:
-            self._ds = self._prefs.sky_ac(self._ds)
         if self._use_p3 and len(self._ds) > 1:
             self._probe_pairs = self._sorted_probe_pairs(self._ds)
         self._live = set(self._ds)
@@ -235,8 +223,8 @@ class TupleTask:
         while self.state is TaskState.PROBING and self._multiway > 2:
             # m-ary probing: consume derivable knowledge, then ask the
             # next group of up to k mutually-unresolved members.
-            self._ds = self._prefs.sky_ac(self._ds)
-            if len(self._ds) <= 1 or not self._use_p3:
+            self._ds = self._prefs.sky_ac([self._ds])[0]
+            if len(self._ds) <= 1:
                 self.state = TaskState.ASKING
                 break
             group = tuple(self._ds[: self._multiway])

@@ -374,20 +374,22 @@ def _exercise_system(backend):
     assert system.total_rejected() == 1
     assert system.closure_updates() > 0
     # sky_ac: trivial, dominated, tied and incomparable members
-    assert system.sky_ac([5]) == [5]
+    assert system.sky_ac([[5]]) == [[5]]
+    assert system.sky_ac([[], [5]]) == [[], [5]]
     system.add_answer(5, 6, 0, L)
     system.add_answer(5, 6, 1, R)  # 5, 6 certainly incomparable
-    assert system.sky_ac([0, 1, 3, 4, 5, 6]) == [0, 3, 5, 6]
-    # single-attribute systems: pair loop (reference) vs vectorized
+    assert system.sky_ac([[0, 1, 3, 4, 5, 6]]) == [[0, 3, 5, 6]]
+    # single-attribute systems: pair loop (reference) vs vectorized,
+    # one group per call and all groups in one call
     single = PreferenceSystem(8, 1, backend=backend)
     single.add_answer(0, 1, 0, L)
     single.add_answer(1, 2, 0, L)
     single.add_answer(3, 4, 0, E)
     single.add_answer(6, 5, 0, E)
-    assert single.sky_ac([0, 1, 2, 3, 4, 7]) == [0, 3, 7]
-    assert single.sky_ac([2, 4, 3]) == [2, 3]
-    assert single.sky_ac([5, 6]) == [5]
-    assert single.sky_ac([6, 7]) == [6, 7]
+    groups = [[0, 1, 2, 3, 4, 7], [2, 4, 3], [5, 6], [6, 7], [4], []]
+    expected = [[0, 3, 7], [2, 3], [5], [6, 7], [4], []]
+    assert [single.sky_ac([group])[0] for group in groups] == expected
+    assert single.sky_ac(groups) == expected
 
 
 def _run_exercise(monkeypatch):

@@ -261,3 +261,90 @@ class TestCorrelatedDistribution:
             generate_synthetic(150, 3, 1, Distribution.INDEPENDENT, seed=22)
         )
         assert correlated.stats.questions < independent.stats.questions
+
+
+def _entry_points():
+    from repro.core.crowdsky import crowdsky_budgeted
+    from repro.core.parallel import parallel_dset, parallel_sl
+
+    return {
+        "crowdsky": crowdsky,
+        "crowdsky_budgeted": lambda relation, crowd=None, config=None: (
+            crowdsky_budgeted(relation, 10**6, crowd, config=config)
+        ),
+        "parallel_dset": parallel_dset,
+        "parallel_sl": parallel_sl,
+    }
+
+
+class TestMultiwayNeedsP3:
+    """m-ary questions are a probing method (P3). Without P3 a
+    ``multiway`` above 2 used to reduce ``DS(t)`` to ``SKY_AC`` (P2)
+    before asking, at the DSet and P1 levels too: on this relation
+    DSet asked 713 questions with ``multiway=2`` and 101–187 with
+    ``multiway=3``."""
+
+    @pytest.mark.parametrize(
+        "level",
+        [PruningLevel.DSET, PruningLevel.P1, PruningLevel.P1_P2],
+        ids=lambda level: level.value,
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        ["crowdsky", "crowdsky_budgeted", "parallel_dset", "parallel_sl"],
+    )
+    def test_multiway_3_asks_what_multiway_2_asks(self, entry, level):
+        relation = generate_synthetic(
+            80, 2, 1, Distribution.ANTI_CORRELATED, seed=0
+        )
+        run = _entry_points()[entry]
+        logs = [
+            run(
+                relation,
+                config=CrowdSkyConfig(pruning=level, multiway=multiway),
+            ).question_log
+            for multiway in (2, 3)
+        ]
+        assert logs[0] == logs[1]
+
+
+class TestConfigValidation:
+    """An invalid config is refused when it is built, before any entry
+    point writes a journal header or asks a question; it used to be
+    refused only by the code that first read the field."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"multiway": 1},
+            {"multiway": 0},
+            {"shards": 0},
+            {"shard_jobs": 0},
+            {"backend": "quantum"},
+            {"shards": 2, "shard_partitioner": "nope"},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        ["crowdsky", "crowdsky_budgeted", "parallel_dset", "parallel_sl"],
+    )
+    def test_refused_before_header(self, entry, bad, tmp_path):
+        from repro.crowd.journal import recover_journal
+
+        # Preprocessing asks about the duplicate pair (1, 1) first.
+        relation = make_relation(
+            [(1, 1), (1, 1), (0, 2), (2, 0), (2, 2)],
+            [(0,), (1,), (2,), (3,), (4,)],
+        )
+        journal = tmp_path / "journal"
+        crowd = SimulatedCrowd(relation, journal=journal)
+        with pytest.raises(CrowdSkyError):
+            _entry_points()[entry](
+                relation, crowd, config=CrowdSkyConfig(**bad)
+            )
+        assert crowd.stats.questions == 0
+        assert recover_journal(journal).header is None
+
+    def test_partitioner_is_free_without_shards(self):
+        assert CrowdSkyConfig(shard_partitioner="nope").shards == 1

@@ -222,16 +222,16 @@ class TestPreferenceSystem:
         system = PreferenceSystem(5, 1)
         system.add_answer(0, 1, 0, L)  # 0 ≺ 1
         system.add_answer(1, 2, 0, L)  # 1 ≺ 2 (so 0 ≺ 2)
-        assert system.sky_ac([0, 1, 2, 3]) == [0, 3]
+        assert system.sky_ac([[0, 1, 2, 3]]) == [[0, 3]]
 
     def test_sky_ac_dedupes_full_ties(self):
         system = PreferenceSystem(5, 1)
         system.add_answer(1, 3, 0, E)
-        assert system.sky_ac([1, 3]) == [1]
+        assert system.sky_ac([[1, 3]]) == [[1]]
 
     def test_sky_ac_keeps_unknown_members(self):
         system = PreferenceSystem(5, 1)
-        assert system.sky_ac([2, 0, 4]) == [2, 0, 4]
+        assert system.sky_ac([[2, 0, 4]]) == [[2, 0, 4]]
 
     def test_total_rejected_sums_attributes(self):
         system = PreferenceSystem(5, 2)

@@ -105,6 +105,29 @@ def result_digest(result):
     }
 
 
+def spec_sky_ac(system, members):
+    """``SKY_AC`` of one group by the pair loop: drop each member that
+    another member strictly AC-dominates, or that ties a lower-indexed
+    member on every attribute."""
+    survivors = []
+    for v in members:
+        dominated = False
+        for u in members:
+            if u == v:
+                continue
+            rels = system.pair_relations(u, v)
+            weak = all(
+                rel is not None and rel is not Preference.RIGHT
+                for rel in rels
+            )
+            if weak and (Preference.LEFT in rels or u < v):
+                dominated = True
+                break
+        if not dominated:
+            survivors.append(v)
+    return survivors
+
+
 def assert_backends_agree(by_backend):
     """Compare each optimized backend's value against the reference."""
     reference = by_backend["reference"]
@@ -228,8 +251,35 @@ class TestGraphDifferential:
         order = data.draw(st.permutations(range(n)))
         for size in range(n + 1):
             assert_backends_agree({
-                b: s.sky_ac(order[:size]) for b, s in systems.items()
+                b: s.sky_ac([order[:size]]) for b, s in systems.items()
             })
+
+    @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=160)
+    @given(
+        sequence=answer_sequences(max_attributes=3, tie_heavy=True),
+        data=st.data(),
+    )
+    def test_grouped_sky_ac_matches_per_group_spec(self, sequence, data):
+        """One grouped ``sky_ac`` call answers every group as the pair
+        loop does on that group alone, on both backends. The groups of
+        a call include empty and singleton ones, and they share
+        tuples, so a kernel whose member mask or twin test reads
+        another group's members shows here."""
+        n, num_attributes, events = sequence
+        groups = data.draw(
+            st.lists(
+                st.lists(st.integers(0, n - 1), unique=True, max_size=n),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        for backend in BACKENDS:
+            system = PreferenceSystem(n, num_attributes, backend=backend)
+            for u, v, attribute, answer in events:
+                system.add_answer(u, v, attribute, answer)
+            assert system.sky_ac(groups) == [
+                spec_sky_ac(system, group) for group in groups
+            ], backend
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(verdict_rounds())

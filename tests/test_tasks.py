@@ -1,8 +1,14 @@
-"""Tests for the per-tuple evaluation state machine."""
+"""Tests for the per-tuple evaluation state machine.
 
-import numpy as np
+P1 and P2 at activation live in the evaluate phase
+(:meth:`repro.core.crowdsky.Evaluation.start`), so their cases run
+through it on the toy relation.
+"""
+
 import pytest
 
+from repro.core.crowdsky import CrowdSkyConfig, Evaluation, PruningLevel
+from repro.core.engine import build_context
 from repro.core.preference import PreferenceSystem
 from repro.core.tasks import (
     MultiwayRequest,
@@ -26,11 +32,23 @@ def toy_env(toy):
     return toy, prefs, frequency
 
 
-def non_skyline(relation, *labels):
-    """The bool mask ``activate`` takes: True for ``labels``."""
-    mask = np.zeros(len(relation), dtype=bool)
-    mask[[relation.index_of(x) for x in labels]] = True
-    return mask
+def toy_evaluation(toy, skyline="", non_skyline="", **config):
+    """An evaluate phase over the toy relation with the ``skyline`` and
+    ``non_skyline`` labels decided as such."""
+    evaluation = Evaluation(build_context(toy), CrowdSkyConfig(**config))
+    for labels, outcome in (
+        (skyline, TaskOutcome.SKYLINE),
+        (non_skyline, TaskOutcome.NON_SKYLINE),
+    ):
+        for label in labels:
+            evaluation.decide(toy.index_of(label), outcome)
+    return evaluation
+
+
+def start(toy, evaluation, label):
+    """The task ``evaluation`` builds and activates for ``label``."""
+    [task] = evaluation.start([toy.index_of(label)])
+    return task
 
 
 def make_task(toy_env, label, ds_labels, **flags):
@@ -48,13 +66,13 @@ class TestLifecycle:
 
     def test_double_activation_rejected(self, toy_env):
         task, _, _ = make_task(toy_env, "a", ["b"])
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         with pytest.raises(RuntimeError):
-            task.activate(non_skyline(toy_env[0]))
+            task.activate()
 
     def test_empty_ds_completes_as_skyline(self, toy_env):
         task, _, _ = make_task(toy_env, "a", [])
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         assert task.advance() is None
         assert task.outcome is TaskOutcome.SKYLINE
 
@@ -62,7 +80,7 @@ class TestLifecycle:
 class TestAskingPhase:
     def test_single_member_asks_one_pair(self, toy_env):
         task, toy, prefs = make_task(toy_env, "a", ["b"])
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         request = task.advance()
         assert (request.left, request.right) == (
             toy.index_of("b"), toy.index_of("a")
@@ -71,7 +89,7 @@ class TestAskingPhase:
 
     def test_dominated_after_answer(self, toy_env):
         task, toy, prefs = make_task(toy_env, "a", ["b"])
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         request = task.advance()
         prefs.add_answer(request.left, request.right, 0, L)  # b preferred
         assert task.advance() is None
@@ -79,7 +97,7 @@ class TestAskingPhase:
 
     def test_survives_all_members(self, toy_env):
         task, toy, prefs = make_task(toy_env, "f", ["b", "e"])
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         while True:
             request = task.advance()
             if request is None:
@@ -91,7 +109,7 @@ class TestAskingPhase:
     def test_equal_answer_dominates(self, toy_env):
         """s =_AC t with s ≺_AK t makes t a non-skyline tuple."""
         task, toy, prefs = make_task(toy_env, "a", ["b"])
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         request = task.advance()
         prefs.add_answer(request.left, request.right, 0, E)
         assert task.advance() is None
@@ -101,7 +119,7 @@ class TestAskingPhase:
         task, toy, prefs = make_task(
             toy_env, "j", ["b", "e", "f"], use_p3=False
         )
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         request = task.advance()
         assert request.right == toy.index_of("j")
         prefs.add_answer(request.left, request.right, 0, L)  # lost at once
@@ -110,23 +128,23 @@ class TestAskingPhase:
 
 
 class TestPruningFlags:
-    def test_p1_removes_complete_non_skyline(self, toy_env):
-        task, toy, prefs = make_task(toy_env, "c", ["a", "b", "e"])
-        task.activate(non_skyline(toy, "a"))
+    def test_p1_removes_complete_non_skyline(self, toy):
+        evaluation = toy_evaluation(toy, skyline="be", non_skyline="a")
+        task = start(toy, evaluation, "c")
         assert toy.index_of("a") not in task.dominating_set
 
-    def test_p1_disabled_keeps_everyone(self, toy_env):
-        task, toy, prefs = make_task(
-            toy_env, "c", ["a", "b", "e"], use_p1=False, use_p2=False,
-            use_p3=False,
+    def test_p1_disabled_keeps_everyone(self, toy):
+        evaluation = toy_evaluation(
+            toy, skyline="be", non_skyline="a", pruning=PruningLevel.DSET
         )
-        task.activate(non_skyline(toy, "a"))
+        task = start(toy, evaluation, "c")
         assert toy.index_of("a") in task.dominating_set
 
-    def test_p2_reduces_to_sky_ac(self, toy_env):
-        task, toy, prefs = make_task(toy_env, "d", ["b", "e"])
+    def test_p2_reduces_to_sky_ac(self, toy):
+        evaluation = toy_evaluation(toy, skyline="be")
+        prefs = evaluation.context.prefs
         prefs.add_answer(toy.index_of("e"), toy.index_of("b"), 0, L)
-        task.activate(non_skyline(toy_env[0]))
+        task = start(toy, evaluation, "d")
         assert task.dominating_set == [toy.index_of("e")]
 
     def test_forced_requests_without_p2(self, toy_env):
@@ -137,7 +155,7 @@ class TestPruningFlags:
         b, e, d = (toy.index_of(x) for x in "bed")
         prefs.add_answer(e, b, 0, L)
         prefs.add_answer(e, d, 0, L)  # derivable: d loses to e
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         request = task.advance()
         assert request is not None and request.force
 
@@ -145,10 +163,9 @@ class TestPruningFlags:
         """Even without P1/P2/P3 a complete tuple stops asking
         (Definition 4 applies to every variant)."""
         task, toy, prefs = make_task(
-            toy_env, "d", ["b", "e"],
-            use_p1=False, use_p2=False, use_p3=False,
+            toy_env, "d", ["b", "e"], use_p2=False, use_p3=False,
         )
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         asked = 0
         while True:
             request = task.advance()
@@ -162,10 +179,9 @@ class TestPruningFlags:
     def test_dset_variant_asks_all_when_surviving(self, toy_env):
         """A surviving tuple must still beat every DS member."""
         task, toy, prefs = make_task(
-            toy_env, "f", ["a", "b", "d", "e"],
-            use_p1=False, use_p2=False, use_p3=False,
+            toy_env, "f", ["a", "b", "d", "e"], use_p2=False, use_p3=False,
         )
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         asked = 0
         while True:
             request = task.advance()
@@ -180,14 +196,14 @@ class TestPruningFlags:
 class TestProbingPhase:
     def test_probe_pairs_before_questions(self, toy_env):
         task, toy, prefs = make_task(toy_env, "d", ["b", "e"])
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         request = task.advance()
         b, e = toy.index_of("b"), toy.index_of("e")
         assert {request.left, request.right} == {b, e}
 
     def test_probe_answer_removes_loser(self, toy_env):
         task, toy, prefs = make_task(toy_env, "d", ["b", "e"])
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         request = task.advance()
         e = toy.index_of("e")
         winner_is_left = request.left == e
@@ -201,7 +217,7 @@ class TestProbingPhase:
 
     def test_probe_tie_keeps_one_member(self, toy_env):
         task, toy, prefs = make_task(toy_env, "d", ["b", "e"])
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         request = task.advance()
         prefs.add_answer(request.left, request.right, 0, E)
         task.advance()
@@ -209,7 +225,7 @@ class TestProbingPhase:
 
     def test_probe_skipped_without_p3(self, toy_env):
         task, toy, prefs = make_task(toy_env, "d", ["b", "e"], use_p3=False)
-        task.activate(non_skyline(toy_env[0]))
+        task.activate()
         request = task.advance()
         assert request.right == toy.index_of("d")  # directly in Q(t)
 
@@ -231,7 +247,7 @@ class TestMultiAttribute:
         task = TupleTask(0, [1, 2], prefs, frequency)
         prefs.add_answer(1, 2, 0, L)
         prefs.add_answer(1, 2, 1, R)  # incomparable in AC
-        task.activate(np.zeros(len(multi_crowd), dtype=bool))
+        task.activate()
         request = task.advance()
         # Probing cannot reduce {1, 2}; both must be asked against 0.
         assert task.state is TaskState.ASKING
@@ -239,28 +255,26 @@ class TestMultiAttribute:
 
 
 class TestGatheredDominatingSet:
-    """A task keeps the int64 array ``ds_in_eval_order`` gathers; its
-    requests still carry Python ints, which questions and journal
-    records need."""
+    """:meth:`Evaluation.start` gathers ``DS(t)`` as int64 rows off the
+    dominance matrix; its tasks' requests still carry Python ints, which
+    questions and journal records need."""
 
     @pytest.mark.parametrize(
         "flags",
         [
             {},
-            {"use_p1": False, "use_p2": False, "use_p3": False},
+            {"pruning": PruningLevel.DSET},
             {"multiway": 3},
         ],
     )
     def test_requests_from_an_int64_gather_carry_python_ints(
-        self, toy_env, flags
+        self, toy, flags
     ):
-        toy, prefs, frequency = toy_env
-        gathered = np.array(
-            [toy.index_of(x) for x in "abef"], dtype=np.int64
+        evaluation = toy_evaluation(
+            toy, skyline="bdefghi", non_skyline="a", **flags
         )
-        task = TupleTask(toy.index_of("j"), gathered, prefs, frequency,
-                         **flags)
-        task.activate(non_skyline(toy, "a"))
+        prefs = evaluation.context.prefs
+        task = start(toy, evaluation, "j")
         assert all(type(s) is int for s in task.dominating_set)
         requests = []
         while (request := task.advance()) is not None:
