@@ -39,7 +39,11 @@ from repro.core.engine import (
     request_unresolved,
     visible_tuples,
 )
-from repro.core.preference import ContradictionPolicy, check_backend
+from repro.core.preference import (
+    ContradictionPolicy,
+    check_backend,
+    default_backend,
+)
 from repro.core.result import CrowdSkylineResult
 from repro.core.tasks import TaskOutcome, TupleTask
 from repro.crowd.platform import SimulatedCrowd
@@ -123,7 +127,8 @@ class CrowdSkyConfig:
         assignment); see :data:`repro.skyline.sharded.PARTITIONERS`.
 
     A ``multiway`` below 2, a ``shards`` or ``shard_jobs`` below 1, an
-    unknown ``backend`` name, or an unknown partitioner with
+    unknown ``backend`` name (or, with ``backend=None``, an unknown
+    ``REPRO_PREF_BACKEND``), or an unknown partitioner with
     ``shards > 1`` raises :class:`~repro.exceptions.CrowdSkyError` when
     the config is built.
     """
@@ -149,7 +154,10 @@ class CrowdSkyConfig:
         check_shard_options(
             self.shards, self.shard_jobs, self.shard_partitioner
         )
-        if self.backend is not None:
+        if self.backend is None:
+            # Read REPRO_PREF_BACKEND now; the payload keeps the None.
+            default_backend()
+        else:
             check_backend(self.backend)
 
     def to_payload(self) -> dict:

@@ -583,13 +583,16 @@ class PreferenceSystem:
 
     # -- memoized pair resolution ---------------------------------------
 
-    def _current_version(self) -> int:
+    @property
+    def version(self) -> int:
+        """Accepted answers across all attributes: it changes exactly
+        when the closure does."""
         return sum(graph.version for graph in self.graphs)
 
     def pair_relations(self, u: int, v: int) -> PairRelations:
         """Derivable relations of ``(u, v)`` on every crowd attribute,
         memoized until the next accepted answer."""
-        version = self._current_version()
+        version = self.version
         if version != self._memo_version:
             self._memo.clear()
             self._memo_version = version
@@ -635,7 +638,7 @@ class PreferenceSystem:
     def _resolve_unique(
         self, unique: Dict[Tuple[int, int], None]
     ) -> Dict[Tuple[int, int], PairRelations]:
-        version = self._current_version()
+        version = self.version
         if version != self._memo_version:
             self._memo.clear()
             self._memo_version = version
@@ -899,6 +902,74 @@ class PreferenceSystem:
             out[index] = survivors[start:start + count]
             start += count
         return out
+
+    def open_pairs(
+        self, members: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Positions ``(i, j)``, ``i < j``, of the member pairs a probe
+        walk can still act on, in row-major order (§3.4).
+
+        A pair is *settled* when it is known on every crowd attribute,
+        with ``LEFT`` on one and ``RIGHT`` on another: neither member
+        can prune the other, and since a derived relation is never
+        retracted, it stays so. Every other pair is open. With one
+        crowd attribute no pair can be settled, so every pair is open
+        and the closure is not read. The numpy backend tests all
+        ``k × k`` member bits at once (:meth:`_settled_numpy`); the
+        reference backend runs the pair loop (:meth:`_settled_pairs`),
+        the specification.
+        """
+        index = np.arange(len(members))
+        upper = index[:, None] < index
+        if self.num_attributes > 1:
+            if isinstance(self.graphs[0], NumpyPreferenceGraph):
+                upper &= ~self._settled_numpy(members)
+            else:
+                upper &= ~self._settled_pairs(members)
+        return np.nonzero(upper)
+
+    def _settled_pairs(self, members: Sequence[int]) -> np.ndarray:
+        """The settled-pair mask of ``members`` by the pair loop, above
+        the diagonal (the specification)."""
+        k = len(members)
+        settled = np.zeros((k, k), dtype=bool)
+        for i in range(k):
+            for j in range(i + 1, k):
+                rels = self.pair_relations(members[i], members[j])
+                settled[i, j] = (
+                    None not in rels
+                    and Preference.LEFT in rels
+                    and Preference.RIGHT in rels
+                )
+        return settled
+
+    def _settled_numpy(self, members: Sequence[int]) -> np.ndarray:
+        """The ``k × k`` settled-pair mask of ``members`` (numpy
+        backend).
+
+        Per attribute one gather of the members' closure bits out of
+        their roots' descendant rows gives ``below[a, b]``: member ``b``
+        lies strictly below member ``a``, so the pair ``(a, b)`` is
+        ``LEFT`` and its transpose ``RIGHT``; equal roots are ``EQUAL``.
+        A pair is settled when every attribute knows it and ``LEFT``
+        holds on some attribute and ``RIGHT`` on some other.
+        """
+        m = np.asarray(members, dtype=np.int64)
+        words = m >> 6
+        shifts = (m & 63).astype(np.uint64)
+        one = np.uint64(1)
+        known = left = None
+        for graph in self.graphs:
+            roots = graph.find_roots(m)
+            below = (graph._desc[roots[:, None], words] >> shifts) & one
+            below = below.astype(bool)
+            rel = below | below.T | (roots[:, None] == roots)
+            if known is None:
+                known, left = rel, below
+            else:
+                known &= rel
+                left |= below
+        return known & left & left.T
 
     def total_rejected(self) -> int:
         """Total contradicted answers across all attributes."""

@@ -8,7 +8,8 @@ A :class:`TupleTask` drives one tuple ``t`` through the CrowdSky pipeline:
    ``SKY_AC(DS(t))`` under current knowledge, Corollary 2) for a whole
    batch of activations at once. The task then builds the probing pair
    list ``P(t)`` ordered by descending ``freq(u, v)`` (§3.4 — see
-   DESIGN.md on the prose/pseudocode discrepancy).
+   DESIGN.md on the prose/pseudocode discrepancy), leaving out the
+   pairs the closure already knows to be incomparable.
 2. **Probing (P3)** — ask pairs inside ``DS(t)``; each resolved pair
    removes its less-preferred member and all of that member's pending
    pairs.
@@ -28,6 +29,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple as TupleT
+
+import numpy as np
 
 from repro.core.preference import PreferenceSystem
 from repro.questions import Preference
@@ -136,6 +139,9 @@ class TupleTask:
             multiway if use_p3 and prefs.num_attributes == 1 else 2
         )
         self._asked_groups: Set[TupleT[int, ...]] = set()
+        #: Closure version under which ``_ds`` is ``SKY_AC``-reduced
+        #: (m-ary probing only); reducing it again then changes nothing.
+        self._reduced_at: Optional[int] = None
         #: The probe ladder, walked by ``_cursor``; a pair whose member
         #: left ``_live`` is skipped when the cursor reaches it.
         self._probe_pairs: List[TupleT[int, int]] = []
@@ -162,10 +168,21 @@ class TupleTask:
         return list(self._ds)
 
     def activate(self) -> None:
-        """Build the probe ladder and enter the probing phase."""
+        """Build the probe ladder and enter the probing phase.
+
+        The ladder holds only the pairs the closure has not settled
+        (:meth:`~repro.core.preference.PreferenceSystem.open_pairs`):
+        the walk would step over a settled pair whenever it reached it,
+        because a derived relation is never retracted. m-ary probing
+        walks no ladder.
+        """
         if self.state is not TaskState.PENDING:
             raise RuntimeError(f"task {self.t} activated twice")
-        if self._use_p3 and len(self._ds) > 1:
+        if self._multiway > 2:
+            if self._use_p2:
+                # P2 reduced the members under the current closure.
+                self._reduced_at = self._prefs.version
+        elif self._use_p3 and len(self._ds) > 1:
             self._probe_pairs = self._sorted_probe_pairs(self._ds)
         self._live = set(self._ds)
         self.state = TaskState.PROBING
@@ -173,18 +190,25 @@ class TupleTask:
     def _sorted_probe_pairs(
         self, members: Sequence[int]
     ) -> List[TupleT[int, int]]:
-        members = list(members)
-        freq = self._frequency.freq_matrix(members)
-        pairs = [
-            (members[i], members[j], int(freq[i, j]))
-            for i in range(len(members))
-            for j in range(i + 1, len(members))
-        ]
-        # Highest pruning power first (§3.4 prose; Algorithm 1 line 11
-        # says ascending — see DESIGN.md); deterministic index tie-break.
-        sign = 1 if self._probe_ascending else -1
-        pairs.sort(key=lambda p: (sign * p[2], p[0], p[1]))
-        return [(u, v) for u, v, _ in pairs]
+        """The open pairs of ``members``, highest pruning power first
+        (§3.4 prose; Algorithm 1 line 11 says ascending — see
+        DESIGN.md), ties broken by the pair's indices."""
+        first, second = self._prefs.open_pairs(members)
+        if not len(first):
+            return []
+        ids = np.asarray(members, dtype=np.int64)
+        us, vs = ids[first], ids[second]
+        if len(us) > 1:
+            # freq(u, v) over the open pairs' members only.
+            used = np.zeros(len(ids), dtype=bool)
+            used[first] = True
+            used[second] = True
+            at = np.cumsum(used) - 1
+            freq = self._frequency.freq_matrix(ids[used])
+            sign = 1 if self._probe_ascending else -1
+            order = np.lexsort((vs, us, sign * freq[at[first], at[second]]))
+            us, vs = us[order], vs[order]
+        return list(zip(us.tolist(), vs.tolist()))
 
     def abandon_request(self, request) -> None:
         """Give up on an unresolvable request (fault tolerance).
@@ -223,7 +247,10 @@ class TupleTask:
         while self.state is TaskState.PROBING and self._multiway > 2:
             # m-ary probing: consume derivable knowledge, then ask the
             # next group of up to k mutually-unresolved members.
-            self._ds = self._prefs.sky_ac([self._ds])[0]
+            version = self._prefs.version
+            if version != self._reduced_at:
+                self._ds = self._prefs.sky_ac([self._ds])[0]
+                self._reduced_at = version
             if len(self._ds) <= 1:
                 self.state = TaskState.ASKING
                 break

@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Set, Tuple as TupleT
+from typing import Collection, Dict, List, Sequence, Set, Tuple as TupleT
 
 import numpy as np
 
@@ -129,9 +129,9 @@ class FrequencyOracle:
             self._cache[key] = value
         return value
 
-    def freq_matrix(self, members: List[int]) -> np.ndarray:
-        """``freq(u, v)`` for all pairs of ``members`` as a ``k × k``
-        matrix (vectorized; used by probing on large dominating sets).
+    def freq_matrix(self, members: Sequence[int]) -> np.ndarray:
+        """``freq(u, v)`` for all pairs of ``members`` (a list or an
+        int array) as a ``k × k`` matrix; the probe ladders read it.
 
         The product is taken in float64, where BLAS computes it: every
         entry is a count of at most ``n < 2**53``, so it is exact

@@ -379,6 +379,14 @@ def _exercise_system(backend):
     system.add_answer(5, 6, 0, L)
     system.add_answer(5, 6, 1, R)  # 5, 6 certainly incomparable
     assert system.sky_ac([[0, 1, 3, 4, 5, 6]]) == [[0, 3, 5, 6]]
+    # open_pairs: the settled pair (5, 6) drops out, a pair known on one
+    # attribute only or tied stays; one member has no pair
+    first, second = system.open_pairs([5, 6, 0, 2, 1])
+    assert list(zip(first.tolist(), second.tolist())) == [
+        (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+        (3, 4),
+    ]
+    assert [len(side) for side in system.open_pairs([5])] == [0, 0]
     # single-attribute systems: pair loop (reference) vs vectorized,
     # one group per call and all groups in one call
     single = PreferenceSystem(8, 1, backend=backend)
@@ -390,6 +398,11 @@ def _exercise_system(backend):
     expected = [[0, 3, 7], [2, 3], [5], [6, 7], [4], []]
     assert [single.sky_ac([group])[0] for group in groups] == expected
     assert single.sky_ac(groups) == expected
+    # one attribute: every pair is open
+    first, second = single.open_pairs([0, 1, 2])
+    assert list(zip(first.tolist(), second.tolist())) == [
+        (0, 1), (0, 2), (1, 2)
+    ]
 
 
 def _run_exercise(monkeypatch):

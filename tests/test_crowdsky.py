@@ -346,5 +346,30 @@ class TestConfigValidation:
         assert crowd.stats.questions == 0
         assert recover_journal(journal).header is None
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["crowdsky", "crowdsky_budgeted", "parallel_dset", "parallel_sl"],
+    )
+    def test_unknown_env_backend_refused_before_header(
+        self, entry, tmp_path, monkeypatch
+    ):
+        """With ``backend=None`` the closure backend comes from
+        ``REPRO_PREF_BACKEND``; an unknown name there is refused before
+        the header too. It used to be read only by ``build_context``,
+        after the header was written."""
+        from repro.crowd.journal import recover_journal
+
+        relation = make_relation(
+            [(1, 1), (1, 1), (0, 2), (2, 0), (2, 2)],
+            [(0,), (1,), (2,), (3,), (4,)],
+        )
+        journal = tmp_path / "journal"
+        crowd = SimulatedCrowd(relation, journal=journal)
+        monkeypatch.setenv("REPRO_PREF_BACKEND", "quantum")
+        with pytest.raises(CrowdSkyError):
+            _entry_points()[entry](relation, crowd)
+        assert crowd.stats.questions == 0
+        assert recover_journal(journal).header is None
+
     def test_partitioner_is_free_without_shards(self):
         assert CrowdSkyConfig(shard_partitioner="nope").shards == 1

@@ -8,9 +8,12 @@ phase activates every tuple a policy has ready in one
 over the skyline rows found so far, and P2 is one grouped ``sky_ac``
 call. This module keeps the earlier formulation as the specification:
 
-* :class:`SpecTupleTask` — the ladder as a list rebuilt on every
-  pruned member or incomparable pair, with the whole remaining probe
-  ladder and ``Q(t)`` resolved ahead after every answer;
+* :class:`SpecTupleTask` — the ladder over every pair of ``DS(t)``,
+  sorted in Python, where the program leaves out the pairs the closure
+  has settled and orders the rest with one ``lexsort``; the ladder is a
+  list rebuilt on every pruned member or incomparable pair, with the
+  whole remaining probe ladder and ``Q(t)`` resolved ahead after every
+  answer; in m-ary mode it re-reduces ``DS(t)`` at every step;
 * :func:`spec_start` — activation one tuple at a time: ``DS(t)`` from
   ``ds_in_eval_order``, P1 dropping the complete non-skyline tuples,
   and one ``sky_ac`` call per tuple;
@@ -28,8 +31,8 @@ call. This module keeps the earlier formulation as the specification:
 
 Both sides must ask the same questions in the same rounds and return
 the same skyline, for every scheduler, pruning level, ``|AC|`` of 1 or
-2 and ``multiway`` of 2 or 3, on drawn relations (duplicate- and
-tie-heavy ones included) under perfect, seeded noisy and
+2, ``multiway`` of 2 or 3 and either probe order, on drawn relations
+(duplicate- and tie-heavy ones included) under perfect, seeded noisy and
 fault-injecting crowds — the last so that ``abandon_request`` runs in
 the middle of a ladder. The module is in the ``pref`` suite, which CI
 runs under each ``REPRO_PREF_BACKEND``.
@@ -531,13 +534,16 @@ def run_both(relation, scheduler, config, crowd_kind, seed):
     st.sampled_from(sorted(SCHEDULERS)),
     st.sampled_from(list(PruningLevel)),
     st.sampled_from([2, 3]),
+    st.booleans(),
     st.sampled_from(["perfect", "noisy", "faulty"]),
     st.integers(0, 2 ** 16),
 )
 def test_evaluate_phase_matches_spec(
-    relation, scheduler, pruning, multiway, crowd_kind, seed
+    relation, scheduler, pruning, multiway, probe_ascending, crowd_kind, seed
 ):
-    config = CrowdSkyConfig(pruning=pruning, multiway=multiway)
+    config = CrowdSkyConfig(
+        pruning=pruning, multiway=multiway, probe_ascending=probe_ascending
+    )
     change, spec = run_both(relation, scheduler, config, crowd_kind, seed)
     assert change == spec
 

@@ -186,3 +186,33 @@ def test_covering_graph_packed_kernel_beats_per_tuple_spec():
         f"packed covering graph {packed_s * 1000:.1f}ms is not 5x "
         f"faster than the per-tuple spec {spec_s * 1000:.1f}ms"
     )
+
+
+def test_serial_walk_scalar_pair_reads():
+    """The serial walk's scalar closure reads, counted without a timer.
+
+    ``crowdsky(generate_synthetic(400, 2, 2, seed=7))`` on the numpy
+    backend calls ``PreferenceSystem.pair_relations`` 1,485 times: the
+    probe ladders hold only the pairs the closure has not settled. A
+    walk that reads every pair of every ``DS(t)`` again, as before the
+    ladders were built from open pairs, makes 6,449 calls for the same
+    1,340 questions."""
+    from unittest import mock
+
+    from repro.core.crowdsky import CrowdSkyConfig, crowdsky
+    from repro.core.preference import PreferenceSystem
+    from repro.data.synthetic import generate_synthetic
+
+    reads = 0
+    pair_relations = PreferenceSystem.pair_relations
+
+    def counting(system, u, v):
+        nonlocal reads
+        reads += 1
+        return pair_relations(system, u, v)
+
+    relation = generate_synthetic(400, 2, 2, seed=7)
+    with mock.patch.object(PreferenceSystem, "pair_relations", counting):
+        result = crowdsky(relation, config=CrowdSkyConfig(backend="numpy"))
+    assert result.stats.questions == 1340
+    assert reads == 1485

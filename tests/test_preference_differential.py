@@ -13,7 +13,7 @@ order, round tables, skylines and journal bytes under either backend.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CrowdSkyConfig, crowdsky, parallel_dset, parallel_sl
@@ -126,6 +126,24 @@ def spec_sky_ac(system, members):
         if not dominated:
             survivors.append(v)
     return survivors
+
+
+def spec_open_pairs(system, members):
+    """Positions ``(i, j)``, ``i < j``, of the member pairs a probe walk
+    can act on, by the pair loop: every pair but those known on every
+    attribute with ``LEFT`` on one and ``RIGHT`` on another."""
+    opened = []
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            rels = system.pair_relations(members[i], members[j])
+            settled = (
+                None not in rels
+                and Preference.LEFT in rels
+                and Preference.RIGHT in rels
+            )
+            if not settled:
+                opened.append((i, j))
+    return opened
 
 
 def assert_backends_agree(by_backend):
@@ -280,6 +298,50 @@ class TestGraphDifferential:
             assert system.sky_ac(groups) == [
                 spec_sky_ac(system, group) for group in groups
             ], backend
+
+    @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=240)
+    @given(
+        sequence=answer_sequences(max_attributes=3, tie_heavy=True),
+        picks=st.lists(st.integers(0, 11), max_size=14),
+    )
+    @example(
+        # (0, 1) settled with a tie on the third attribute; (0, 2)
+        # LEFT everywhere, so open.
+        sequence=(3, 3, [
+            (0, 1, 0, Preference.LEFT),
+            (0, 1, 1, Preference.RIGHT),
+            (0, 1, 2, Preference.EQUAL),
+            (0, 2, 0, Preference.LEFT),
+            (0, 2, 1, Preference.LEFT),
+            (0, 2, 2, Preference.LEFT),
+        ]),
+        picks=[0, 1, 2],
+    )
+    @example(
+        # LEFT and RIGHT, but the third attribute unknown: open.
+        sequence=(3, 3, [
+            (0, 1, 0, Preference.LEFT),
+            (0, 1, 1, Preference.RIGHT),
+        ]),
+        picks=[1, 0, 2],
+    )
+    def test_open_pairs_match_pair_loop_spec(self, sequence, picks):
+        """``open_pairs`` leaves out exactly the pairs the pair loop
+        finds settled, on both backends. Tie-heavy histories make
+        members of one tie class common, and a drawn member list may
+        repeat a tuple; three attributes let a settled pair be tied or
+        unknown on the third, which the two fixed examples always
+        cover."""
+        n, num_attributes, events = sequence
+        members = [pick % n for pick in picks]
+        for backend in BACKENDS:
+            system = PreferenceSystem(n, num_attributes, backend=backend)
+            for u, v, attribute, answer in events:
+                system.add_answer(u, v, attribute, answer)
+            first, second = system.open_pairs(members)
+            assert list(zip(first.tolist(), second.tolist())) == (
+                spec_open_pairs(system, members)
+            ), backend
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(verdict_rounds())

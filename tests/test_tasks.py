@@ -5,9 +5,16 @@ P1 and P2 at activation live in the evaluate phase
 through it on the toy relation.
 """
 
+from unittest import mock
+
 import pytest
 
-from repro.core.crowdsky import CrowdSkyConfig, Evaluation, PruningLevel
+from repro.core.crowdsky import (
+    CrowdSkyConfig,
+    Evaluation,
+    PruningLevel,
+    crowdsky,
+)
 from repro.core.engine import build_context
 from repro.core.preference import PreferenceSystem
 from repro.core.tasks import (
@@ -17,6 +24,7 @@ from repro.core.tasks import (
     TaskState,
     TupleTask,
 )
+from repro.data.synthetic import Distribution, generate_synthetic
 from repro.questions import Preference
 from repro.skyline.dominance import dominance_matrix
 from repro.skyline.dominating import FrequencyOracle
@@ -253,6 +261,22 @@ class TestMultiAttribute:
         assert task.state is TaskState.ASKING
         assert len(task.dominating_set) == 2
 
+    def test_settled_pair_left_out_of_the_ladder(self, multi_crowd):
+        """A pair known incomparable at activation never enters the
+        ladder; an open one does."""
+        prefs = PreferenceSystem(len(multi_crowd), 2)
+        matrix = dominance_matrix(multi_crowd.known_matrix())
+        frequency = FrequencyOracle(matrix)
+        prefs.add_answer(1, 2, 0, L)
+        prefs.add_answer(1, 2, 1, R)
+        settled = TupleTask(0, [1, 2], prefs, frequency)
+        settled.activate()
+        assert settled._probe_pairs == []
+        prefs.add_answer(2, 3, 0, L)  # known on one attribute only
+        opened = TupleTask(0, [1, 2, 3], prefs, frequency)
+        opened.activate()
+        assert sorted(opened._probe_pairs) == [(1, 3), (2, 3)]
+
 
 class TestGatheredDominatingSet:
     """:meth:`Evaluation.start` gathers ``DS(t)`` as int64 rows off the
@@ -294,3 +318,51 @@ class TestGatheredDominatingSet:
                 else (request.left, request.right)
             )
             assert all(type(s) is int for s in members), request
+
+
+class TestMultiwayProbing:
+    """m-ary probing walks no pairwise ladder and reduces ``DS(t)``
+    only under a closure that changed since its last reduction."""
+
+    def test_no_ladder_and_no_redundant_reduction(self):
+        """ANT n = 200, ``|AC| = 1``, ``multiway=3``, seed 0. The
+        evaluate phase hands every task its members reduced, and the
+        first m-ary step used to reduce them again under the same
+        closure: 56 of the 300 groups of two or more members, in 441
+        ``sky_ac`` calls. Each activation also built a pairwise ladder
+        that m-ary probing never walks: 56 ladders holding 77 pairs,
+        from 56 ``freq_matrix`` calls."""
+        calls = {"sky_ac": 0, "groups": 0, "redundant": 0, "freq": 0}
+        reduced = {}
+        sky_ac = PreferenceSystem.sky_ac
+        freq_matrix = FrequencyOracle.freq_matrix
+
+        def counting_sky_ac(system, groups):
+            calls["sky_ac"] += 1
+            version = system.version
+            for group in groups:
+                if len(group) > 1:
+                    calls["groups"] += 1
+                    if reduced.get(tuple(group)) == version:
+                        calls["redundant"] += 1
+            out = sky_ac(system, groups)
+            reduced.update((tuple(group), version) for group in out)
+            return out
+
+        def counting_freq_matrix(oracle, members):
+            calls["freq"] += 1
+            return freq_matrix(oracle, members)
+
+        relation = generate_synthetic(
+            200, 2, 1, Distribution.ANTI_CORRELATED, seed=0
+        )
+        with mock.patch.object(
+            PreferenceSystem, "sky_ac", counting_sky_ac
+        ), mock.patch.object(
+            FrequencyOracle, "freq_matrix", counting_freq_matrix
+        ):
+            result = crowdsky(relation, config=CrowdSkyConfig(multiway=3))
+        assert result.stats.questions == 249
+        assert calls == {
+            "sky_ac": 249, "groups": 244, "redundant": 0, "freq": 0
+        }
