@@ -15,32 +15,54 @@ m-ary probing, round-robin asking and noisy and fault-injecting crowds,
 so a change to the scheduler loops cannot move any of them unseen.
 Cross-backend agreement is additionally asserted at generation time, so
 a broken backend cannot be baked into the fixture.
+
+The same run writes ``tests/fixtures/posting_digests.json``
+(``tests/test_posting_digests.py``): per :data:`POSTING_SCENARIOS` run,
+a digest of everything the crowd layer reports about its postings —
+the normalised trace, the observation's metrics, ``CrowdStats``, the
+cost records, the question log, ``summary()``, ``round_table()``,
+``cost_breakdown()`` and, where one is attached, the HIT ledger. Each
+scenario is recorded twice and the regeneration aborts if the two
+recordings differ.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import re
+import tempfile
 from math import ceil
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core import (
     CrowdSkyConfig,
     PruningLevel,
+    baseline_skyline,
     crowdsky,
     parallel_dset,
     parallel_sl,
+    unary_skyline,
 )
 from repro.core.crowdsky import crowdsky_budgeted
+from repro.core.resume import replay_run
+from repro.core.result import CrowdSkylineResult
 from repro.crowd.faults import FaultPlan
+from repro.crowd.hits import HitLedger
 from repro.crowd.platform import QUESTIONS_PER_HIT, SimulatedCrowd
 from repro.crowd.retry import RetryPolicy
+from repro.crowd.voting import StaticVoting
 from repro.crowd.workers import WorkerPool
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.data.toy import figure1_dataset
+from repro.obs import observe
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "golden_counts.json"
+POSTING_DIGESTS_PATH = (
+    Path(__file__).parent / "fixtures" / "posting_digests.json"
+)
 
 BACKENDS = ("reference", "numpy")
 
@@ -276,10 +298,230 @@ def build_golden() -> dict:
     return golden
 
 
+# ---------------------------------------------------------------------------
+# Posting-path digests
+# ---------------------------------------------------------------------------
+
+#: Every scenario pins the closure backend: ``pref.batch`` events and the
+#: ``backend``-labelled counters name it.
+PINNED = CrowdSkyConfig(backend="numpy")
+PINNED_MULTIWAY = CrowdSkyConfig(backend="numpy", multiway=3)
+
+#: A scenario runs one algorithm under an active observation and
+#: returns its result and the crowd's HIT ledger (or None). It gets a
+#: scratch directory for journals.
+Scenario = Callable[[Path], Tuple[CrowdSkylineResult, Optional[HitLedger]]]
+
+
+def _ind_ac2():
+    return generate_synthetic(30, 2, 2, Distribution.INDEPENDENT, seed=11)
+
+
+def _ant():
+    return generate_synthetic(36, 2, 1, Distribution.ANTI_CORRELATED, seed=7)
+
+
+def _noisy_crowd(relation, **options) -> SimulatedCrowd:
+    """Uniform 0.8-accurate workers, five votes per question."""
+    return SimulatedCrowd(
+        relation,
+        pool=WorkerPool.uniform(size=9, accuracy=0.8),
+        voting=StaticVoting(5),
+        seed=17,
+        **options,
+    )
+
+
+#: Retry policies of the faulty scenarios: the first gives up when a
+#: question's attempts run out, the second when its deadline passes.
+RETRY_ATTEMPTS = RetryPolicy(max_attempts=2, deadline_rounds=4)
+RETRY_DEADLINE = RetryPolicy(max_attempts=3, deadline_rounds=4)
+
+
+def _faulty_crowd(
+    relation, retry: Optional[RetryPolicy], abandonment_rate=0.2, **options
+) -> SimulatedCrowd:
+    return _noisy_crowd(
+        relation,
+        strict=False,
+        faults=FaultPlan(
+            abandonment_rate=abandonment_rate,
+            hit_timeout_rate=0.15,
+            transient_error_rate=0.15,
+            spam_burst_rate=0.05,
+            seed=18,
+        ),
+        retry=retry,
+        **options,
+    )
+
+
+def _serial(crowd_factory, config=PINNED, relation_factory=_ind_ac2):
+    def scenario(_scratch):
+        relation = relation_factory()
+        return crowdsky(relation, crowd_factory(relation), config=config), None
+    return scenario
+
+
+def _faulty_serial_with_ledger(_scratch):
+    relation = _ind_ac2()
+    ledger = HitLedger(seed=19)
+    crowd = _faulty_crowd(relation, RETRY_DEADLINE, ledger=ledger)
+    return crowdsky(relation, crowd, config=PINNED), ledger
+
+
+def _budgeted(strict: bool, config=PINNED, relation_factory=_ind_ac2):
+    def scenario(_scratch):
+        relation = relation_factory()
+        crowd = SimulatedCrowd(relation, strict=strict)
+        return crowdsky_budgeted(relation, 25, crowd, config=config), None
+    return scenario
+
+
+def _faulty_dset(_scratch):
+    relation = _ind_ac2()
+    crowd = _faulty_crowd(relation, RETRY_ATTEMPTS)
+    return parallel_dset(relation, crowd, config=PINNED), None
+
+
+def _journaled_dset(scratch):
+    relation = _ind_ac2()
+    crowd = _faulty_crowd(
+        relation, RETRY_ATTEMPTS, journal=scratch / "journal"
+    )
+    try:
+        return parallel_dset(relation, crowd, config=PINNED), None
+    finally:
+        crowd.journal.close()
+
+
+def _replayed_dset(scratch):
+    # The recorded run gets an observation of its own, so only the
+    # replay lands in the digested trace and metrics.
+    with observe():
+        _journaled_dset(scratch)
+    return replay_run(scratch / "journal", _ind_ac2()), None
+
+
+def _noisy_sl(_scratch):
+    relation = _ant()
+    return parallel_sl(relation, _noisy_crowd(relation), config=PINNED), None
+
+
+def _multiway_sl_with_ledger(_scratch):
+    relation = _ant()
+    ledger = HitLedger(seed=19)
+    crowd = _noisy_crowd(relation, ledger=ledger)
+    return parallel_sl(relation, crowd, config=PINNED_MULTIWAY), ledger
+
+
+def _unary(_scratch):
+    relation = _ind_ac2()
+    return unary_skyline(relation, _noisy_crowd(relation)), None
+
+
+def _baseline(_scratch):
+    relation = _ind_ac2()
+    return baseline_skyline(relation, _noisy_crowd(relation)), None
+
+
+#: The posting-path scenarios, by name: every posting format (pairwise,
+#: m-ary merged and not, unary), every fault kind and way of giving up
+#: on a question, the budget in both modes and on m-ary questions, the
+#: journal and its replay.
+POSTING_SCENARIOS: Dict[str, Scenario] = {
+    "crowdsky[perfect]": _serial(SimulatedCrowd),
+    "crowdsky[noisy]": _serial(_noisy_crowd),
+    "crowdsky[faulty,retry,ledger]": _faulty_serial_with_ledger,
+    "crowdsky[faulty,no_retry]": _serial(
+        lambda relation: _faulty_crowd(relation, None, abandonment_rate=0.6)
+    ),
+    "crowdsky_budgeted[strict]": _budgeted(strict=True),
+    "crowdsky_budgeted[non_strict]": _budgeted(strict=False),
+    "crowdsky_budgeted[non_strict,multiway=3]": _budgeted(
+        strict=False, config=PINNED_MULTIWAY, relation_factory=_ant
+    ),
+    "crowdsky[round_robin]": _serial(
+        SimulatedCrowd, CrowdSkyConfig(backend="numpy", ac_round_robin=True)
+    ),
+    "crowdsky[multiway=3,noisy]": _serial(
+        _noisy_crowd, PINNED_MULTIWAY, relation_factory=_ant
+    ),
+    "parallel_dset[faulty]": _faulty_dset,
+    "parallel_dset[faulty,journaled]": _journaled_dset,
+    "parallel_dset[replayed]": _replayed_dset,
+    "parallel_sl[noisy]": _noisy_sl,
+    "parallel_sl[multiway=3,ledger]": _multiway_sl_with_ledger,
+    "unary_skyline[noisy]": _unary,
+    "baseline_skyline[noisy]": _baseline,
+}
+
+
+def _ledger_rows(ledger: HitLedger):
+    return {
+        "hits": [
+            [hit.hit_id, hit.round_number, hit.num_questions,
+             hit.duration_seconds]
+            for record in ledger.rounds()
+            for hit in record.hits
+        ],
+        "backoff_rounds": ledger.backoff_rounds,
+    }
+
+
+def record_posting(name: str) -> Dict[str, str]:
+    """Run one posting scenario under a fresh observation and digest
+    each of its reported outputs separately (so a drift names the
+    output that moved)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        with observe() as observation:
+            result, ledger = POSTING_SCENARIOS[name](Path(scratch))
+    outputs = {
+        "trace": [
+            {
+                key: value
+                for key, value in event.items()
+                if key not in ("ts", "cpu")
+            }
+            for event in observation.tracer.events
+        ],
+        "metrics": {
+            series: value
+            for series, value in observation.metrics.snapshot().items()
+            if "_seconds" not in series
+        },
+        "stats": dataclasses.asdict(result.stats),
+        "cost_records": result.cost_records,
+        "question_log": _log_rows(result.question_log),
+        "summary": re.sub(r" wall=\S+", "", result.summary()),
+        "round_table": result.round_table(),
+        "cost_breakdown": result.cost_breakdown(),
+    }
+    if ledger is not None:
+        outputs["ledger"] = _ledger_rows(ledger)
+    return {output: _digest(value) for output, value in outputs.items()}
+
+
+def build_posting_digests() -> dict:
+    digests = {}
+    for name in POSTING_SCENARIOS:
+        first, second = record_posting(name), record_posting(name)
+        if first != second:
+            raise SystemExit(
+                f"posting digests differ between two recordings of "
+                f"{name}: {first} != {second}"
+            )
+        digests[name] = first
+    return digests
+
+
 def main() -> None:
     golden = build_golden()
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {len(golden)} cases to {GOLDEN_PATH}")
+    digests = build_posting_digests()
+    POSTING_DIGESTS_PATH.write_text(json.dumps(digests, indent=2) + "\n")
+    print(f"wrote {len(digests)} scenarios to {POSTING_DIGESTS_PATH}")
 
 
 if __name__ == "__main__":
