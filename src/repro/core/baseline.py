@@ -139,7 +139,6 @@ def baseline_skyline(
             stats=crowd.stats,
             question_log=list(crowd.question_log),
             algorithm=f"Baseline[{sort}]",
-            metrics=crowd.metrics,
         )
     if span is not None:
         result.wall_time_s = span.duration_s

@@ -244,7 +244,7 @@ class Evaluation:
         self._row_ranks = np.empty(len(order), dtype=np.int64)
         self._row_count = 0
         observation = current_observation()
-        self._trace = observation.tracer if observation.enabled else None
+        self._observation = observation if observation.enabled else None
 
     def start(self, ts: Sequence[int]) -> List[TupleTask]:
         """Build and activate the tasks of the tuples ``ts`` together.
@@ -284,16 +284,17 @@ class Evaluation:
         return tasks
 
     def decide(self, t: int, outcome: TaskOutcome) -> None:
-        """Record ``t`` as complete with ``outcome``: counter always,
-        event when tracing."""
+        """Record ``t`` as complete with ``outcome``; counted and traced
+        when observing."""
         if outcome is TaskOutcome.SKYLINE:
             self.skyline.add(t)
             self._add_row(t)
         self.complete.add(t)
-        value = outcome.value
-        self.context.crowd.count_metric(TUPLES_EVALUATED, outcome=value)
-        if self._trace is not None:
-            self._trace.event("engine.tuple", t=t, outcome=value)
+        observation = self._observation
+        if observation is not None:
+            value = outcome.value
+            observation.metrics.counter(TUPLES_EVALUATED, outcome=value).inc()
+            observation.tracer.event("engine.tuple", t=t, outcome=value)
 
     def _add_row(self, t: int) -> None:
         """Insert skyline tuple ``t`` into P1's rows at its rank."""
@@ -351,13 +352,18 @@ class Evaluation:
         # The closure's memo-hit and update tallies are cumulative, so
         # they are exported once per run, here, off the hot path.
         prefs = context.prefs
-        if prefs.cache_hits:
-            crowd.count_metric(
-                PREF_CACHE_HITS, prefs.cache_hits, backend=prefs.backend
-            )
-        updates = prefs.closure_updates()
-        if updates:
-            crowd.count_metric(CLOSURE_UPDATES, updates, backend=prefs.backend)
+        observation = current_observation()
+        if observation.enabled:
+            metrics = observation.metrics
+            if prefs.cache_hits:
+                metrics.counter(PREF_CACHE_HITS, backend=prefs.backend).inc(
+                    prefs.cache_hits
+                )
+            updates = prefs.closure_updates()
+            if updates:
+                metrics.counter(CLOSURE_UPDATES, backend=prefs.backend).inc(
+                    updates
+                )
         stopped = bool(budget_exhausted)
         return CrowdSkylineResult(
             skyline=self.skyline,
@@ -372,7 +378,6 @@ class Evaluation:
             degraded=stopped or context.degraded,
             unresolved_pairs=sorted(context.unresolved_pairs),
             fault_stats=crowd.fault_stats,
-            metrics=crowd.metrics,
             cost_records=list(crowd.cost_records),
         )
 
@@ -481,7 +486,6 @@ def crowdsky_budgeted(
                 complete_tuples=0,
                 degraded=True,
                 fault_stats=crowd.fault_stats,
-                metrics=crowd.metrics,
                 cost_records=list(crowd.cost_records),
             )
         else:

@@ -248,9 +248,6 @@ def build_context(
         prefs = PreferenceSystem(
             n, relation.schema.num_crowd, policy, backend=backend
         )
-        # Route the closure-transaction histogram into the same per-run
-        # registry as every other crowd metric.
-        prefs.attach_metrics(crowd.metrics)
         if visible_crowd is not None:
             edges = seed_visible_preferences(prefs, relation, visible_crowd)
             if tracer is not None:
@@ -346,13 +343,12 @@ def _note_unresolved(
     context: ExecutionContext, questions: Iterable[PairwiseQuestion]
 ) -> None:
     """Record the asked questions the crowd permanently gave up on."""
-    unresolved = context.crowd.unresolved_keys
-    if not unresolved:
+    crowd = context.crowd
+    if not crowd.stats.unresolved_questions:
         return
     for question in questions:
-        key = question.key()
-        if key in unresolved:
-            context.unresolved_pairs.add(key)
+        if crowd.is_unresolved(question):
+            context.unresolved_pairs.add(question.key())
 
 
 def request_unresolved(context: ExecutionContext, request: Request) -> bool:
@@ -362,22 +358,24 @@ def request_unresolved(context: ExecutionContext, request: Request) -> bool:
     transitively derivable) *and* its question was given up on by the
     crowd — the scheduler must then abandon the request instead of
     re-emitting it forever. Partial answers (other attributes) stay in
-    the preference system.
+    the preference system. The crowd is asked one question at a time,
+    so the check never copies its unresolved set.
     """
-    unresolved = context.crowd.unresolved_keys
-    if not unresolved:
+    crowd = context.crowd
+    if not crowd.stats.unresolved_questions:
         return False
     if isinstance(request, MultiwayRequest):
-        key = MultiwayQuestion(request.candidates, request.attribute).key()
-        return key in unresolved
-    prefs = context.prefs
-    for attribute in prefs.unknown_attributes(request.left, request.right):
-        key = PairwiseQuestion(
-            request.left, request.right, attribute
-        ).key()
-        if key in unresolved:
-            return True
-    return False
+        return crowd.is_unresolved(
+            MultiwayQuestion(request.candidates, request.attribute)
+        )
+    return any(
+        crowd.is_unresolved(
+            PairwiseQuestion(request.left, request.right, attribute)
+        )
+        for attribute in context.prefs.unknown_attributes(
+            request.left, request.right
+        )
+    )
 
 
 def apply_multiway_answers(
@@ -437,22 +435,21 @@ def ask_batch(context: ExecutionContext, requests: Iterable[Request]) -> None:
     # resolved against the preference graphs at most once, however many
     # requests in the batch repeat it.
     resolved = prefs.resolve_pairs(inferred) if inferred else {}
+    saved = 0
     for request in pair_requests:
         if request.force:
             attributes: Iterable[int] = range(prefs.num_attributes)
         else:
             rels = resolved[(request.left, request.right)]
             attributes = [j for j, rel in enumerate(rels) if rel is None]
-            saved = prefs.num_attributes - len(attributes)
-            if saved:
-                context.crowd.count_metric(
-                    QUESTIONS_SAVED_TRANSITIVITY, saved
-                )
+            saved += prefs.num_attributes - len(attributes)
         for attribute in attributes:
             questions.append(
                 PairwiseQuestion(request.left, request.right, attribute)
             )
     observation = current_observation()
+    if observation.enabled and saved:
+        observation.metrics.counter(QUESTIONS_SAVED_TRANSITIVITY).inc(saved)
     if observation.enabled and (questions or multiway):
         observation.tracer.event(
             "engine.batch",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil
 from typing import Any, Dict, List, Optional, Set, Tuple as TupleT
 
 from repro.crowd.faults import FaultStats
@@ -15,12 +14,7 @@ from repro.crowd.platform import (
 from repro.questions import PairwiseQuestion, Preference
 from repro.crowd.voting import DEFAULT_OMEGA
 from repro.data.relation import Relation
-from repro.obs.metrics import (
-    DEGRADED_ANSWERS,
-    MetricsRegistry,
-    RETRIES,
-    TIMEOUTS,
-)
+from repro.obs.report import price_rounds
 
 
 @dataclass
@@ -66,11 +60,6 @@ class CrowdSkylineResult:
     )
     #: Injected-fault tallies (None when no fault plan was attached).
     fault_stats: Optional[FaultStats] = None
-    #: Run-local metrics registry of the crowd platform that produced
-    #: this result — the single source for fault/retry numbers in
-    #: :meth:`summary` and :meth:`round_table` (``stats`` remains as a
-    #: fallback for hand-built results).
-    metrics: Optional[MetricsRegistry] = None
     #: Wall-clock seconds of the run, stamped when a trace was active
     #: (``repro.obs.observe``); None otherwise.
     wall_time_s: Optional[float] = None
@@ -106,79 +95,29 @@ class CrowdSkylineResult:
     ) -> Dict[str, Any]:
         """Charge the run's money back to what caused each round.
 
-        Aggregates :attr:`cost_records` by round (merged multiway
-        postings share their predecessor round's HIT arithmetic, like
-        :meth:`CrowdStats.hit_cost`) and attributes each round's HITs to
-        the context recorded when it executed — scheduler, phase, layer
-        and tuple dimensions. ``total_cost`` is computed with the exact
-        expression the ledger uses, so it equals
-        ``stats.hit_cost(price, omega, per_hit)`` bit for bit whenever
-        the records cover the whole run.
+        Prices :attr:`cost_records` with
+        :func:`repro.obs.report.price_rounds`, the pricer of the
+        trace-side RunReport cost too: postings are grouped by round
+        (merged multiway postings share their predecessor round's HIT
+        arithmetic, like :meth:`CrowdStats.hit_cost`) and each round's
+        HITs are attributed to the context recorded when it executed —
+        scheduler, phase, layer and tuple dimensions. ``total_cost``
+        equals ``stats.hit_cost(price, omega, per_hit)`` bit for bit
+        whenever the records cover the whole run. ``faults`` counts the
+        failed questions of every posting.
         """
-        dimensions = ("scheduler", "phase", "layer", "tuple")
-        per_round: Dict[int, Dict[str, Any]] = {}
-        order: List[int] = []
-        questions = 0
-        retried = 0
-        assignments = 0
-        faults = 0
-        for record in self.cost_records:
-            index = record["round"]
-            entry = per_round.get(index)
-            if entry is None:
-                entry = per_round[index] = {
-                    "questions": 0,
-                    "context": record.get("context", {}),
-                }
-                order.append(index)
-            entry["questions"] += record["questions"]
-            questions += record["questions"]
-            retried += record.get("retried", 0)
-            assignments += record.get("assignments", 0)
-            faults += record.get("faults", 0)
-        total_hits = 0
-        by_dimension: Dict[str, Dict[str, Dict[str, Any]]] = {
-            dim: {} for dim in dimensions
-        }
-        for index in order:
-            entry = per_round[index]
-            hits = ceil(entry["questions"] / per_hit)
-            total_hits += hits
-            for dim in dimensions:
-                value = entry["context"].get(dim)
-                key = "(unattributed)" if value is None else str(value)
-                bucket = by_dimension[dim].setdefault(
-                    key, {"rounds": 0, "questions": 0, "hits": 0}
-                )
-                bucket["rounds"] += 1
-                bucket["questions"] += entry["questions"]
-                bucket["hits"] += hits
-        for groups in by_dimension.values():
-            for bucket in groups.values():
-                bucket["cost"] = price * omega * bucket["hits"]
-        return {
-            "price": price,
-            "omega": omega,
-            "questions_per_hit": per_hit,
-            "rounds": len(order),
-            "questions": questions,
-            "retried": retried,
-            "assignments": assignments,
-            "faults": faults,
-            "hits": total_hits,
-            "total_cost": price * omega * total_hits,
-            "by_scheduler": by_dimension["scheduler"],
-            "by_phase": by_dimension["phase"],
-            "by_layer": by_dimension["layer"],
-            "by_tuple": by_dimension["tuple"],
-        }
-
-    def _metric_total(self, name: str, fallback: int) -> int:
-        """A counter total from the attached registry, or ``fallback``
-        (the legacy ``CrowdStats`` field) when none is attached."""
-        if self.metrics is None:
-            return fallback
-        return int(self.metrics.total(name))
+        records = self.cost_records
+        breakdown = price_rounds(
+            (
+                (record["round"], record, record.get("context", {}))
+                for record in records
+            ),
+            price=price,
+            omega=omega,
+            per_hit=per_hit,
+        )
+        breakdown["faults"] = sum(record.get("faults", 0) for record in records)
+        return breakdown
 
     def skyline_labels(self, relation: Relation) -> Set[str]:
         """The skyline as human-readable labels."""
@@ -212,10 +151,7 @@ class CrowdSkylineResult:
                 pair = f"({question.left}, {question.right})"
             by_round.setdefault(round_number, []).append(pair)
         retried = self.stats.retried_per_round
-        show_faults = (
-            self._metric_total(RETRIES, self.stats.retries) > 0
-            or self._metric_total(TIMEOUTS, self.stats.timeouts) > 0
-        )
+        show_faults = self.stats.retries > 0 or self.stats.timeouts > 0
         rows = []
         for round_number, pairs in sorted(by_round.items()):
             row = {"round": round_number, "questions": ", ".join(pairs)}
@@ -231,9 +167,8 @@ class CrowdSkylineResult:
     def summary(self, relation: Optional[Relation] = None) -> str:
         """One-line human-readable summary.
 
-        Fault/retry numbers come from the attached metrics registry
-        (the platform's own accounting); total wall-clock time is
-        appended when the run executed under an active trace
+        Fault/retry numbers come from :attr:`stats`; total wall-clock
+        time is appended when the run executed under an active trace
         (:func:`repro.obs.observe`).
         """
         labels = ""
@@ -247,11 +182,9 @@ class CrowdSkylineResult:
             f"cost=${self.stats.hit_cost():.2f}"
         )
         stats = self.stats
-        retries = self._metric_total(RETRIES, stats.retries)
-        timeouts = self._metric_total(TIMEOUTS, stats.timeouts)
-        degraded_answers = self._metric_total(
-            DEGRADED_ANSWERS, stats.degraded_answers
-        )
+        retries = stats.retries
+        timeouts = stats.timeouts
+        degraded_answers = stats.degraded_answers
         if retries or timeouts or degraded_answers:
             text += (
                 f" retries={retries} timeouts={timeouts} "

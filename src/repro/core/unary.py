@@ -70,7 +70,6 @@ def unary_skyline(
             skyline=skyline,
             stats=crowd.stats,
             algorithm="Unary[12]",
-            metrics=crowd.metrics,
         )
     if span is not None:
         result.wall_time_s = span.duration_s

@@ -75,17 +75,6 @@ class FaultStats:
             "failed_questions": self.failed_questions,
         }
 
-    def merge(self, other: "FaultStats") -> "FaultStats":
-        """Combine two executions' tallies."""
-        return FaultStats(
-            abandoned_assignments=self.abandoned_assignments
-            + other.abandoned_assignments,
-            expired_hits=self.expired_hits + other.expired_hits,
-            spam_bursts=self.spam_bursts + other.spam_bursts,
-            transient_errors=self.transient_errors + other.transient_errors,
-            failed_questions=self.failed_questions + other.failed_questions,
-        )
-
 
 def _check_rate(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:

@@ -14,11 +14,11 @@ The observability layer turns every run into an analyzable artifact:
 
 **Cost model.** Observability is off by default: the globally installed
 observation is a no-op singleton and every instrumentation site guards
-with ``observation.enabled`` — one attribute read on the hot path.
-Independent of the global switch, each
-:class:`~repro.crowd.platform.SimulatedCrowd` feeds its own run-local
-registry at *round* granularity (a handful of dict lookups per round),
-which is what results report from.
+with ``observation.enabled`` — one attribute read on the hot path. The
+active observation's registry is the only one: with observability off
+no registry exists, and results report from the platform's own
+accounting (``CrowdStats`` and the per-posting cost records), which is
+on regardless of the switch.
 
 Usage::
 

@@ -5,14 +5,12 @@ Series are created on first touch and accumulate for the registry's
 lifetime; export with :meth:`MetricsRegistry.to_prometheus` or
 :meth:`MetricsRegistry.snapshot`.
 
-Two registries exist per instrumented run:
-
-* every :class:`~repro.crowd.platform.SimulatedCrowd` owns one
-  (``crowd.metrics``) scoped to that run — it is what
-  :class:`~repro.core.result.CrowdSkylineResult` reports from,
-* the globally installed :class:`~repro.obs.Observation` (when tracing
-  is on) receives the same increments, aggregated across every run in
-  its scope — it is what ``--metrics`` exports.
+One registry exists per observed scope: the globally installed
+:class:`~repro.obs.Observation` (when tracing is on) receives every
+increment, aggregated across every run in its scope — it is what
+``--metrics`` exports. With observability off no registry is built;
+:class:`~repro.core.result.CrowdSkylineResult` reports from the
+platform's ``CrowdStats`` and cost records, which the counters mirror.
 
 The module also fixes the canonical metric names (the paper's headline
 quantities) so emitters, exporters and tests never spell them ad hoc.

@@ -13,22 +13,28 @@ report <trace-dir>``.
 Money is modelled exactly as :class:`~repro.crowd.platform.CrowdStats`
 prices it (the paper's AMT model): each latency round of *q* fresh
 questions costs ``ceil(q / per_hit)`` HITs, and every HIT pays
-``price`` to each of ``omega`` assigned workers. The breakdown total is
-computed with the *identical expression* — ``price * omega *
-sum(hits)`` — so it matches the ledger's ``hit_cost`` bit for bit; the
-acceptance tests pin that equality. The defaults below mirror the
-platform's (duplicated deliberately: layering forbids the import).
+``price`` to each of ``omega`` assigned workers. :func:`price_rounds`
+is the one pricer: it serves both this report (from round events, see
+:func:`cost_from_events`) and
+:meth:`~repro.core.result.CrowdSkylineResult.cost_breakdown` (from the
+platform's cost records). Its total is computed with the *identical
+expression* — ``price * omega * sum(hits)`` — so it matches the
+ledger's ``hit_cost`` bit for bit; the acceptance tests pin that
+equality. The defaults below mirror the platform's (duplicated
+deliberately: layering forbids the import).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, \
+    Tuple
 
 from repro.exceptions import TraceSchemaError
 from repro.io.atomic import atomic_write_text
 from repro.obs.perf import phase_breakdown, profile_spans, utc_timestamp
+from repro.obs.schema import trace_totals
 
 #: AMT cost-model defaults; keep in lockstep with
 #: ``repro.crowd.platform`` (DEFAULT_PRICE / DEFAULT_OMEGA /
@@ -61,14 +67,7 @@ def trace_summary(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     profile. Validated by :func:`validate_trace_summary` and embedded
     verbatim in every RunReport.
     """
-    rounds = [e for e in events if e.get("name") == "crowd.round"]
-    questions = 0
-    retried = 0
-    for event in events:
-        if event.get("name") in ROUND_EVENTS:
-            attrs = event.get("attrs", {})
-            questions += attrs.get("questions", 0)
-            retried += attrs.get("retried", 0)
+    totals = trace_totals(events)
     faults: Dict[str, int] = {}
     for event in events:
         if event.get("name") == "crowd.fault":
@@ -87,9 +86,9 @@ def trace_summary(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "schema": TRACE_SUMMARY_SCHEMA,
         "events": len(events),
         "wall_s": wall_s,
-        "rounds": len(rounds),
-        "questions": questions,
-        "retried": retried,
+        "rounds": totals["rounds"],
+        "questions": totals["questions"],
+        "retried": totals["retried"],
         "faults": faults,
         "events_by_name": by_name,
         "spans": [
@@ -167,71 +166,55 @@ def _run_span_of_events(
     return resolved
 
 
-def cost_from_events(
-    events: Sequence[Dict[str, Any]],
+def price_rounds(
+    postings: Iterable[Tuple[Any, Mapping[str, Any], Mapping[str, Any]]],
     price: float = DEFAULT_PRICE,
     omega: int = DEFAULT_OMEGA,
     per_hit: int = QUESTIONS_PER_HIT,
 ) -> Dict[str, Any]:
-    """Charge every round's money back to its recorded cost context.
+    """Price postings by latency round and charge each round's money
+    back to the cost context that caused it.
 
-    Round events carry the context that caused them (scheduler, phase,
-    layer, tuple — see ``SimulatedCrowd.set_cost_context``). Questions
-    folded into an earlier round by a merged multiway posting
-    (``crowd.round_merged``) share that round's HIT arithmetic, exactly
-    as :class:`CrowdStats` accounts them. Per-dimension costs each
-    price an integer HIT count, and the grand total prices the integer
-    sum — the same expression the ledger uses, so equality is exact.
-
-    Round counters restart with every crowd instance, so in a trace
-    holding several runs (a sweep) the number alone would collide
-    across runs; rounds are therefore keyed by (nearest enclosing
-    ``run`` span, round number), which scopes the counter to its run.
+    ``postings`` yields ``(round key, counts, context)`` per posting:
+    ``counts`` carries its ``questions``, ``retried`` and
+    ``assignments``; ``context`` the cost context recorded with it
+    (scheduler, phase, layer, tuple — see
+    ``SimulatedCrowd.set_cost_context``). Postings that share a round
+    key share that round's HIT arithmetic — a merged multiway posting
+    adds its questions to its predecessor's round, exactly as
+    :class:`CrowdStats` accounts them — and a round is attributed to
+    the context of its first posting. Per-dimension costs each price an
+    integer HIT count, and the grand total prices the integer sum — the
+    same expression the ledger uses, so equality is exact.
     """
-    run_of = _run_span_of_events(events)
-    per_round: Dict[Any, Dict[str, Any]] = {}
-    order: List[Any] = []
+    per_round: Dict[Any, List[Any]] = {}
     questions = 0
     retried = 0
     assignments = 0
-    for event in events:
-        if event.get("name") not in ROUND_EVENTS:
-            continue
-        attrs = event.get("attrs", {})
-        index = (
-            run_of.get(event.get("span")),
-            attrs.get("round", len(order)),
-        )
-        entry = per_round.get(index)
+    for key, counts, context in postings:
+        entry = per_round.get(key)
         if entry is None:
-            entry = per_round[index] = {
-                "questions": 0,
-                "context": {
-                    dim: attrs.get(dim) for dim in COST_DIMENSIONS
-                },
-            }
-            order.append(index)
-        entry["questions"] += attrs.get("questions", 0)
-        questions += attrs.get("questions", 0)
-        retried += attrs.get("retried", 0)
-        assignments += attrs.get("assignments", 0)
+            entry = per_round[key] = [0, context]
+        entry[0] += counts.get("questions", 0)
+        questions += counts.get("questions", 0)
+        retried += counts.get("retried", 0)
+        assignments += counts.get("assignments", 0)
 
     total_hits = 0
     by_dimension: Dict[str, Dict[str, Dict[str, Any]]] = {
         dim: {} for dim in COST_DIMENSIONS
     }
-    for index in order:
-        entry = per_round[index]
-        hits = math.ceil(entry["questions"] / per_hit) if entry["questions"] else 0
+    for round_questions, context in per_round.values():
+        hits = math.ceil(round_questions / per_hit)
         total_hits += hits
         for dim in COST_DIMENSIONS:
-            value = entry["context"].get(dim)
+            value = context.get(dim)
             key = "(unattributed)" if value is None else str(value)
             bucket = by_dimension[dim].setdefault(
                 key, {"rounds": 0, "questions": 0, "hits": 0}
             )
             bucket["rounds"] += 1
-            bucket["questions"] += entry["questions"]
+            bucket["questions"] += round_questions
             bucket["hits"] += hits
     for groups in by_dimension.values():
         for bucket in groups.values():
@@ -240,7 +223,7 @@ def cost_from_events(
         "price": price,
         "omega": omega,
         "questions_per_hit": per_hit,
-        "rounds": len(order),
+        "rounds": len(per_round),
         "questions": questions,
         "retried": retried,
         "assignments": assignments,
@@ -251,6 +234,32 @@ def cost_from_events(
         "by_layer": by_dimension["layer"],
         "by_tuple": by_dimension["tuple"],
     }
+
+
+def cost_from_events(
+    events: Sequence[Dict[str, Any]],
+    price: float = DEFAULT_PRICE,
+    omega: int = DEFAULT_OMEGA,
+    per_hit: int = QUESTIONS_PER_HIT,
+) -> Dict[str, Any]:
+    """Charge every round's money back to its recorded cost context.
+
+    Round events (``crowd.round`` and ``crowd.round_merged``) carry the
+    posting's counts and the context that caused it as attributes;
+    :func:`price_rounds` prices them. Round counters restart with every
+    crowd instance, so in a trace holding several runs (a sweep) the
+    number alone would collide across runs; rounds are therefore keyed
+    by (nearest enclosing ``run`` span, round number), which scopes the
+    counter to its run.
+    """
+    run_of = _run_span_of_events(events)
+    postings = []
+    for event in events:
+        if event.get("name") in ROUND_EVENTS:
+            attrs = event.get("attrs", {})
+            key = (run_of.get(event.get("span")), attrs.get("round"))
+            postings.append((key, attrs, attrs))
+    return price_rounds(postings, price=price, omega=omega, per_hit=per_hit)
 
 
 # ---------------------------------------------------------------------------

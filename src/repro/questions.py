@@ -115,5 +115,9 @@ class UnaryQuestion:
     tuple_index: int
     attribute: int = 0
 
+    def key(self) -> TupleT[int, int]:
+        """Identity of the micro-task."""
+        return (self.tuple_index, self.attribute)
+
     def __repr__(self) -> str:
         return f"u({self.tuple_index})@C{self.attribute}"

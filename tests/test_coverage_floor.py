@@ -45,7 +45,7 @@ from repro.core.preference import (
 from repro.questions import Preference
 from repro.exceptions import CrowdSkyError, PreferenceConflictError
 from repro.obs import observe
-from repro.obs.metrics import CLOSURE_BATCH_SIZE, MetricsRegistry
+from repro.obs.metrics import CLOSURE_BATCH_SIZE
 
 pytestmark = pytest.mark.pref
 
@@ -292,8 +292,6 @@ def _exercise_bulk_kernels(backend):
 
 def _exercise_transactions(backend):
     system = PreferenceSystem(8, 2, backend=backend)
-    registry = MetricsRegistry()
-    system.attach_metrics(registry)
     assert system.apply_verdicts([]) == 0
     # list input, one contradicting verdict rejected mid-batch
     assert system.apply_verdicts(
@@ -301,17 +299,12 @@ def _exercise_transactions(backend):
     ) == 2
     # generator input
     assert system.apply_verdicts(iter([(0, 1, 1, E)])) == 1
-    histogram = registry.histogram(CLOSURE_BATCH_SIZE)
-    assert histogram.count == 2 and histogram.sum == 4.0
-    # under an active observation both registries record the batch
+    # under an active observation the batch is recorded
     with observe() as observation:
         assert system.apply_verdicts([(3, 4, 0, L)]) == 1
         assert system.resolve_pairs([(3, 4)])[(3, 4)] == (L, None)
-    assert observation.metrics.histogram(CLOSURE_BATCH_SIZE).count == 1
-    assert registry.histogram(CLOSURE_BATCH_SIZE).count == 3
-    # without an attached registry only the observation path records
-    bare = PreferenceSystem(4, 1, backend=backend)
-    assert bare.apply_verdicts([(0, 1, 0, L)]) == 1
+    histogram = observation.metrics.histogram(CLOSURE_BATCH_SIZE)
+    assert histogram.count == 1 and histogram.sum == 1.0
 
 
 def _exercise_base_hooks():

@@ -9,8 +9,9 @@ Covers:
 * the ``observe`` scope: trace/metrics files written, per-round question
   counts in the trace summing exactly to the exported counter and to
   ``CrowdStats`` (the acceptance identity),
-* results preferring the attached registry over legacy ``CrowdStats``
-  fields, and wall-clock stamping under an active trace,
+* results reporting fault numbers from ``CrowdStats`` (which agree with
+  the observation's counters), and wall-clock stamping under an active
+  trace,
 * seeded determinism: same seed + same fault plan => identical event
   sequences modulo timestamps (Hypothesis, reusing ``tests/strategies``),
 * the no-op guarantee and an emission-overhead smoke test,
@@ -163,11 +164,30 @@ class TestObserve:
         result = crowdsky(figure1_dataset())
         assert current_observation().tracer.events == []
         assert result.wall_time_s is None
-        # run-local accounting is on regardless of the global switch
-        assert result.metrics is not None
-        assert result.metrics.total(M.QUESTIONS_ASKED) == (
-            result.stats.questions
+        # the platform's own accounting is on regardless of the switch
+        assert result.stats.questions == len(result.question_log) > 0
+        assert result.stats.questions == sum(
+            record["questions"] for record in result.cost_records
         )
+
+    def test_untraced_run_builds_no_registry(self, monkeypatch):
+        """Counters go only to an active observation: with observability
+        off no metrics registry exists anywhere in a run."""
+        built = []
+        init = M.MetricsRegistry.__init__
+
+        def counted(registry):
+            built.append(registry)
+            init(registry)
+
+        monkeypatch.setattr(M.MetricsRegistry, "__init__", counted)
+        toy = figure1_dataset()
+        crowdsky(toy)
+        faulty = SimulatedCrowd(
+            toy, seed=0, faults=FaultPlan(hit_timeout_rate=0.3, seed=3),
+        )
+        parallel_sl(toy, crowd=faulty)
+        assert built == []
 
     def test_observed_run_writes_consistent_artifacts(self, tmp_path):
         trace_path = tmp_path / "run.jsonl"
@@ -223,12 +243,9 @@ class TestObserve:
 
 
 class TestResultReporting:
-    def test_summary_prefers_registry_over_stats(self):
-        registry = M.MetricsRegistry()
-        registry.counter(M.RETRIES).inc(4)
-        registry.counter(M.TIMEOUTS).inc(1)
+    def test_summary_reports_faults_from_stats(self):
         result = CrowdSkylineResult(
-            skyline={0}, stats=CrowdStats(), metrics=registry
+            skyline={0}, stats=CrowdStats(retries=4, timeouts=1)
         )
         assert "retries=4 timeouts=1" in result.summary()
 
@@ -238,12 +255,14 @@ class TestResultReporting:
             toy, seed=0,
             faults=FaultPlan(hit_timeout_rate=0.3, seed=3),
         )
-        result = crowdsky(toy, crowd=crowd)
-        assert result.metrics is crowd.metrics
-        assert result.metrics.total(M.FAULTS_INJECTED) == (
+        with observe() as observation:
+            result = crowdsky(toy, crowd=crowd)
+        metrics = observation.metrics
+        assert metrics.total(M.FAULTS_INJECTED) == (
             crowd.fault_stats.total_events()
         )
-        if result.metrics.total(M.TIMEOUTS):
+        assert metrics.total(M.TIMEOUTS) == result.stats.timeouts
+        if result.stats.timeouts:
             assert "timeouts=" in result.summary()
             assert all("retried" in row for row in result.round_table(toy))
 

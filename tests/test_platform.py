@@ -38,15 +38,6 @@ class TestCrowdStats:
         stats.record_round(2, 12)
         assert stats.assignment_cost() == pytest.approx(0.24)
 
-    def test_merge(self):
-        a, b = CrowdStats(), CrowdStats()
-        a.record_round(2, 10)
-        b.record_round(3, 15)
-        merged = a.merge(b)
-        assert merged.questions == 5
-        assert merged.rounds == 2
-        assert merged.round_sizes == [2, 3]
-
 
 class TestSimulatedCrowd:
     def test_seed_or_rng_not_both(self, toy):
@@ -138,6 +129,17 @@ class TestSimulatedCrowd:
         crowd.ask_unary_round([UnaryQuestion(0, 0)])
         assert crowd.stats.questions == 1
         assert crowd.stats.rounds == 1
+
+    def test_unary_round_merges_duplicates(self, crowd):
+        """Like pairwise and m-ary rounds, a unary round asks (and pays
+        for) a repeated question once."""
+        answers = crowd.ask_unary_round(
+            [UnaryQuestion(0, 0), UnaryQuestion(0, 0)]
+        )
+        assert list(answers) == [UnaryQuestion(0, 0)]
+        assert crowd.stats.questions == 1
+        assert crowd.stats.round_sizes == [1]
+        assert crowd.cost_records[-1]["questions"] == 1
 
     def test_unary_budget(self, toy):
         crowd = SimulatedCrowd(toy, max_questions=2)
