@@ -13,7 +13,7 @@ question count), matching its placement in Figures 8-9 and 12(b).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,18 +28,13 @@ from repro.sorting.comparators import crowd_comparator
 from repro.sorting.tournament import tournament_sort
 
 
-def crowd_ranks(
-    relation: Relation, crowd: SimulatedCrowd, attribute: int
+def _order_ranks(
+    order: Sequence[int], crowd: SimulatedCrowd, attribute: int
 ) -> np.ndarray:
-    """Crowdsource a rank column for one crowd attribute.
-
-    Tuples the crowd judged equal (adjacent in the total order with a
-    cached ``EQUAL`` answer) receive the same rank so that neither
-    spuriously dominates the other.
-    """
-    n = len(relation)
-    order = tournament_sort(range(n), crowd_comparator(crowd, attribute))
-    ranks = np.empty(n, dtype=float)
+    """Rank column of a crowd-sorted order: neighbours the crowd judged
+    ``EQUAL`` (a cached answer) share a rank, so that neither spuriously
+    dominates the other."""
+    ranks = np.empty(len(order), dtype=float)
     rank = 0
     previous: Optional[int] = None
     for position, t in enumerate(order):
@@ -52,6 +47,17 @@ def crowd_ranks(
         ranks[t] = rank
         previous = t
     return ranks
+
+
+def crowd_ranks(
+    relation: Relation, crowd: SimulatedCrowd, attribute: int
+) -> np.ndarray:
+    """Crowdsource a rank column for one crowd attribute by tournament
+    sort; tuples the crowd judged equal share a rank."""
+    order = tournament_sort(
+        range(len(relation)), crowd_comparator(crowd, attribute)
+    )
+    return _order_ranks(order, crowd, attribute)
 
 
 def bitonic_crowd_ranks(
@@ -67,8 +73,6 @@ def bitonic_crowd_ranks(
     """
     from repro.sorting.bitonic import bitonic_sort
 
-    n = len(relation)
-
     def prefetch(pairs):
         crowd.ask_pairwise_round(
             [PairwiseQuestion(a, b, attribute) for a, b in pairs]
@@ -79,20 +83,8 @@ def bitonic_crowd_ranks(
         assert answer is not None, "stage prefetch must answer every pair"
         return answer
 
-    order = bitonic_sort(range(n), compare, on_stage=prefetch)
-    ranks = np.empty(n, dtype=float)
-    rank = 0
-    previous: Optional[int] = None
-    for position, t in enumerate(order):
-        if previous is not None:
-            answer = crowd.cached_answer(
-                PairwiseQuestion(previous, t, attribute)
-            )
-            if answer is not Preference.EQUAL:
-                rank = position
-        ranks[t] = rank
-        previous = t
-    return ranks
+    order = bitonic_sort(range(len(relation)), compare, on_stage=prefetch)
+    return _order_ranks(order, crowd, attribute)
 
 
 def baseline_skyline(

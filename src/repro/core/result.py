@@ -6,15 +6,15 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple as TupleT
 
 from repro.crowd.faults import FaultStats
-from repro.crowd.platform import (
-    CrowdStats,
+from repro.crowd.platform import CrowdStats
+from repro.questions import PairwiseQuestion, Preference
+from repro.data.relation import Relation
+from repro.obs.report import (
+    DEFAULT_OMEGA,
     DEFAULT_PRICE,
     QUESTIONS_PER_HIT,
+    price_rounds,
 )
-from repro.questions import PairwiseQuestion, Preference
-from repro.crowd.voting import DEFAULT_OMEGA
-from repro.data.relation import Relation
-from repro.obs.report import price_rounds
 
 
 @dataclass

@@ -156,11 +156,6 @@ class TupleTask:
         self.outcome: Optional[TaskOutcome] = None
 
     @property
-    def abandoned_members(self) -> Set[int]:
-        """DS members skipped because their question was unresolvable."""
-        return set(self._abandoned)
-
-    @property
     def dominating_set(self) -> List[int]:
         """The (pruned) dominating set as it currently stands."""
         if self.state is TaskState.PROBING:

@@ -37,16 +37,13 @@ from repro.crowd.oracle import GroundTruthOracle
 from repro.crowd.voting import VotingPolicy
 from repro.crowd.workers import SpammerWorker, WorkerPool
 from repro.exceptions import JournalReplayError
+from repro.obs.report import QUESTIONS_PER_HIT
 from repro.questions import (
     MultiwayQuestion,
     PairwiseQuestion,
     Preference,
     UnaryQuestion,
 )
-
-#: Questions batched per HIT in the paper's §6.2 (fault rolls are
-#: per-HIT, so the batching is simulation behaviour, not just pricing).
-QUESTIONS_PER_HIT = 5
 
 #: ``PairwiseOutcome.status`` values; anything but ``answered`` failed
 #: its round and is a candidate for the platform's retry scheduling.

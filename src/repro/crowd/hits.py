@@ -6,7 +6,9 @@ On AMT the paper groups 5 questions per HIT, pays $0.10 per HIT
 of the round-based platform:
 
 * each executed round's fresh questions are packed into HITs of
-  ``questions_per_hit``,
+  ``questions_per_hit``; a posting merged into a round first fills the
+  round's open HIT, so a round holds exactly the
+  :func:`~repro.obs.report.round_hits` HITs its cost is priced on,
 * every HIT's working time is sampled from a lognormal around the
   configured mean (human working times are right-skewed),
 * a round's *makespan* is its slowest HIT (HITs of a round run
@@ -25,16 +27,14 @@ Attach a ledger when building the platform::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.crowd.latency import DEFAULT_ROUND_OVERHEAD
 from repro.exceptions import CrowdPlatformError
-
-#: The paper's HIT size (§6.2).
-DEFAULT_QUESTIONS_PER_HIT = 5
+from repro.obs.report import QUESTIONS_PER_HIT, round_hits
 
 #: Shape of the lognormal working-time distribution (σ of log-seconds).
 DEFAULT_LOG_SIGMA = 0.45
@@ -70,7 +70,7 @@ class HitLedger:
     def __init__(
         self,
         seconds_per_hit: float = 49.0,
-        questions_per_hit: int = DEFAULT_QUESTIONS_PER_HIT,
+        questions_per_hit: int = QUESTIONS_PER_HIT,
         round_overhead: float = DEFAULT_ROUND_OVERHEAD,
         log_sigma: float = DEFAULT_LOG_SIGMA,
         rng: Optional[np.random.Generator] = None,
@@ -104,25 +104,34 @@ class HitLedger:
         return float(self._rng.lognormal(mu, self._log_sigma))
 
     def record_round(self, round_number: int, num_questions: int) -> None:
-        """Pack one executed round's questions into HITs."""
+        """Pack one posting's questions into the HITs of its round.
+
+        A posting merged into a round already holding questions first
+        fills that round's open HIT, which keeps its sampled duration;
+        only the HITs the round newly opens are sampled.
+        """
         if num_questions <= 0:
             return
         record = self._rounds.setdefault(
             round_number, RoundRecord(round_number)
         )
-        remaining = num_questions
-        while remaining > 0:
-            batch = min(remaining, self._questions_per_hit)
-            record.hits.append(
+        hits = record.hits
+        per_hit = self._questions_per_hit
+        total = sum(hit.num_questions for hit in hits) + num_questions
+        for index in range(round_hits(total, per_hit)):
+            size = min(per_hit, total - index * per_hit)
+            if index < len(hits):
+                hits[index] = replace(hits[index], num_questions=size)
+                continue
+            hits.append(
                 Hit(
                     hit_id=self._next_hit_id,
                     round_number=round_number,
-                    num_questions=batch,
+                    num_questions=size,
                     duration_seconds=self._sample_duration(),
                 )
             )
             self._next_hit_id += 1
-            remaining -= batch
 
     def record_backoff(self, rounds_waited: int) -> None:
         """Account idle rounds spent waiting out retry backoff.

@@ -40,7 +40,6 @@ per site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil
 from pathlib import Path
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, \
     Optional, Set, Tuple as TupleT, Union
@@ -49,7 +48,6 @@ import numpy as np
 
 from repro.crowd.backends import (
     CrowdBackend,
-    QUESTIONS_PER_HIT,
     STATUS_ABANDONED,
     STATUS_ANSWERED,
     STATUS_TIMEOUT,
@@ -76,8 +74,14 @@ from repro.obs.metrics import (
     UNRESOLVED_QUESTIONS,
     WORKER_ASSIGNMENTS,
 )
+from repro.obs.report import (
+    DEFAULT_OMEGA,
+    DEFAULT_PRICE,
+    QUESTIONS_PER_HIT,
+    round_hits,
+)
 from repro.crowd.retry import RetryPolicy
-from repro.crowd.voting import DEFAULT_OMEGA, StaticVoting, VotingPolicy
+from repro.crowd.voting import StaticVoting, VotingPolicy
 from repro.crowd.workers import WorkerPool
 from repro.exceptions import (
     BudgetExhaustedError,
@@ -93,9 +97,6 @@ from repro.questions import (
     Preference,
     UnaryQuestion,
 )
-
-#: AMT price per question per worker used in the paper's §6.2.
-DEFAULT_PRICE = 0.02
 
 __all__ = [
     "CrowdStats",
@@ -153,7 +154,7 @@ class CrowdStats:
         per_hit: int = QUESTIONS_PER_HIT,
     ) -> float:
         """Monetary cost under the paper's HIT formula (§6.2)."""
-        hits = sum(ceil(size / per_hit) for size in self.round_sizes if size)
+        hits = sum(round_hits(size, per_hit) for size in self.round_sizes)
         return price * omega * hits
 
     def assignment_cost(self, price: float = DEFAULT_PRICE) -> float:

@@ -29,10 +29,8 @@ from typing import Iterable
 
 from repro.questions import PairwiseQuestion, Preference
 from repro.exceptions import CrowdPlatformError
+from repro.obs.report import DEFAULT_OMEGA
 from repro.skyline.dominating import FrequencyOracle
-
-#: Default workers per question (paper: ω = 5).
-DEFAULT_OMEGA = 5
 
 
 def majority_vote(votes: Iterable[Preference]) -> Preference:

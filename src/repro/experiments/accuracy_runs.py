@@ -20,7 +20,12 @@ from repro.core.crowdsky import crowdsky
 from repro.core.result import CrowdSkylineResult
 from repro.core.unary import unary_skyline
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.voting import DynamicVoting, StaticVoting, VotingPolicy
+from repro.crowd.voting import (
+    DEFAULT_OMEGA,
+    DynamicVoting,
+    StaticVoting,
+    VotingPolicy,
+)
 from repro.crowd.workers import WorkerPool
 from repro.data.relation import Relation
 from repro.data.synthetic import Distribution, generate_synthetic
@@ -35,7 +40,6 @@ CI_ACCURACY_CARDINALITIES = (100, 200, 300)
 SMOKE_ACCURACY_CARDINALITIES = (60,)
 
 DEFAULT_WORKER_ACCURACY = 0.8
-DEFAULT_OMEGA = 5
 
 
 def _noisy_crowd(

@@ -44,6 +44,7 @@ import json
 import os
 import random
 import shutil
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -64,8 +65,8 @@ from repro.skyline.sharded import local_skyline_mask, sharded_skyline_mask
 from repro.obs.perf import (
     Regression,
     machine_fingerprint,
-    median,
     regress,
+    same_machine,
     utc_timestamp,
 )
 
@@ -355,7 +356,7 @@ def run_suite(
             {
                 "id": bench_id,
                 "runs_s": runs[bench_id],
-                "median_s": median(runs[bench_id]),
+                "median_s": statistics.median(runs[bench_id]),
             }
             for bench_id in order
         ],
@@ -427,7 +428,9 @@ def check_against_baseline(
             f"no committed baseline for suite {record['suite']!r} "
             f"in {baseline_path}; gate skipped"
         )
-    if not ignore_fingerprint and not _same_machine(record, baseline):
+    if not ignore_fingerprint and not same_machine(
+        record.get("fingerprint"), baseline.get("fingerprint")
+    ):
         return None, (
             "baseline was recorded on a different machine; gate skipped "
             "(pass ignore_fingerprint to force the comparison)"
@@ -446,9 +449,3 @@ def check_against_baseline(
         f"no regressions vs baseline "
         f"(tolerance {1.0 + tolerance:.2f}x, floor {min_seconds}s)"
     )
-
-
-def _same_machine(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
-    from repro.obs.perf import same_machine
-
-    return same_machine(a.get("fingerprint"), b.get("fingerprint"))

@@ -26,7 +26,7 @@ from repro.core.baseline import baseline_skyline
 from repro.core.crowdsky import crowdsky
 from repro.core.parallel import parallel_dset, parallel_sl
 from repro.crowd.platform import SimulatedCrowd
-from repro.crowd.voting import StaticVoting
+from repro.crowd.voting import DEFAULT_OMEGA, StaticVoting
 from repro.crowd.workers import WorkerPool
 from repro.data.mlb import mlb_dataset
 from repro.data.movies import movies_dataset
@@ -48,7 +48,6 @@ _DATASETS: Dict[str, Callable[[], Relation]] = dict(QUERIES)
 #: worker comparing two rectangles is nearly always right); the synthetic
 #: experiments (§6.1) keep the paper's p = 0.8.
 DEFAULT_WORKER_ACCURACY = 0.97
-DEFAULT_OMEGA = 5
 
 
 def _crowd(relation: Relation, seed: int,

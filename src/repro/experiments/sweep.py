@@ -443,17 +443,3 @@ def run_cells(
             store.put(cell, payload)
         results[cell] = payload
     return results
-
-
-def sweep_rows(
-    cells: Iterable[Cell],
-    aggregate,
-    jobs: int = 1,
-    cache: CacheLike = None,
-) -> List[Dict[str, object]]:
-    """Run a plan and aggregate its payloads into result rows.
-
-    ``aggregate`` receives the ``{cell: payload}`` mapping and must
-    iterate cells in its own deterministic order.
-    """
-    return aggregate(run_cells(cells, jobs=jobs, cache=cache))

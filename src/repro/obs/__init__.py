@@ -8,9 +8,10 @@ The observability layer turns every run into an analyzable artifact:
 * :class:`~repro.obs.metrics.MetricsRegistry` accumulates the paper's
   headline metrics (questions, rounds, cache hits, unresolved pairs,
   per-phase wall time) as counters/gauges/histograms,
-* exporters persist JSONL traces, human-readable summaries and
-  Prometheus text dumps (:mod:`repro.obs.exporters`), validated against
-  the event schema (:mod:`repro.obs.schema`).
+* exporters persist JSONL traces and Prometheus text dumps
+  (:mod:`repro.obs.exporters`), validated against the event schema
+  (:mod:`repro.obs.schema`); :mod:`repro.obs.report` summarizes a
+  trace as text or JSON and assembles RunReports.
 
 **Cost model.** Observability is off by default: the globally installed
 observation is a no-op singleton and every instrumentation site guards
@@ -42,7 +43,6 @@ from repro.exceptions import ObservabilityError
 from repro.obs.exporters import (
     parse_prometheus_text,
     read_trace_jsonl,
-    summarize_trace,
     write_metrics_prometheus,
     write_trace_jsonl,
 )
@@ -65,6 +65,7 @@ from repro.obs.perf import (
 from repro.obs.report import (
     build_run_report,
     render_markdown,
+    summarize_trace,
     trace_summary,
     write_run_report,
 )

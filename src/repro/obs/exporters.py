@@ -1,23 +1,23 @@
 """Trace and metrics exporters.
 
-Three output formats:
+Two output formats:
 
 * **JSONL traces** — one event record per line
   (:func:`write_trace_jsonl` / :func:`read_trace_jsonl`), the archival
   format every ``--trace`` run persists,
-* **human-readable summaries** — :func:`summarize_trace` renders the
-  span tree with durations plus headline counts (``crowdsky trace
-  summarize``),
 * **Prometheus text** — :func:`write_metrics_prometheus` dumps a
   :class:`~repro.obs.metrics.MetricsRegistry`;
   :func:`parse_prometheus_text` reads the dump back for cross-checking
   traces against counters.
+
+The human-readable trace summary lives beside its JSON twin in
+:mod:`repro.obs.report` (:func:`~repro.obs.report.summarize_trace`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from repro.exceptions import TraceSchemaError
 from repro.io.atomic import atomic_write_text
@@ -65,7 +65,9 @@ def parse_prometheus_text(text: str) -> Dict[str, float]:
     """Parse a Prometheus text dump back into ``{series: value}``.
 
     Series keys keep their label string (``name{k="v"}``) exactly as
-    rendered, matching :meth:`MetricsRegistry.snapshot` keys.
+    rendered, so ``parse_prometheus_text(registry.to_prometheus()) ==
+    registry.snapshot()``: both expand the registry's series through one
+    helper, and values are written exactly.
     """
     values: Dict[str, float] = {}
     for line in text.splitlines():
@@ -82,101 +84,3 @@ def parse_prometheus_text(text: str) -> Dict[str, float]:
                 f"malformed metrics value in line: {line!r}"
             ) from None
     return values
-
-
-def _span_index(events: List[Dict[str, Any]]) -> Dict[int, Dict[str, Any]]:
-    """Per-span summary: name, start/end ts, parent, child span ids."""
-    spans: Dict[int, Dict[str, Any]] = {}
-    for event in events:
-        kind = event.get("kind")
-        span_id = event.get("span")
-        if kind == "span_start":
-            spans[span_id] = {
-                "name": event.get("name"),
-                "start": event.get("ts"),
-                "end": None,
-                "parent": event.get("parent"),
-                "attrs": event.get("attrs", {}),
-                "children": [],
-            }
-        elif kind == "span_end" and span_id in spans:
-            spans[span_id]["end"] = event.get("ts")
-    for span_id, span in spans.items():
-        parent = span["parent"]
-        if parent in spans:
-            spans[parent]["children"].append(span_id)
-    return spans
-
-
-def _render_span(
-    spans: Dict[int, Dict[str, Any]],
-    span_id: int,
-    lines: List[str],
-    depth: int,
-) -> None:
-    span = spans[span_id]
-    if span["end"] is not None and span["start"] is not None:
-        duration = f"{(span['end'] - span['start']) / 1e6:10.3f} ms"
-    else:
-        duration = "  (unclosed)"
-    attrs = span["attrs"]
-    suffix = ""
-    if attrs:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
-        suffix = f"  [{inner}]"
-    lines.append(f"{duration}  {'  ' * depth}{span['name']}{suffix}")
-    for child in span["children"]:
-        _render_span(spans, child, lines, depth + 1)
-
-
-def summarize_trace(events: List[Dict[str, Any]]) -> str:
-    """Human-readable report: headline counts, event histogram, span
-    tree with durations."""
-    rounds = [e for e in events if e.get("name") == "crowd.round"]
-    questions = sum(e.get("attrs", {}).get("questions", 0) for e in rounds)
-    retried = sum(e.get("attrs", {}).get("retried", 0) for e in rounds)
-    wall_ns: Optional[int] = None
-    if events:
-        wall_ns = max(e.get("ts", 0) for e in events) - events[0].get("ts", 0)
-
-    lines = ["== trace summary =="]
-    lines.append(f"events:            {len(events)}")
-    if wall_ns is not None:
-        lines.append(f"trace wall time:   {wall_ns / 1e6:.3f} ms")
-    lines.append(f"rounds:            {len(rounds)}")
-    lines.append(f"questions asked:   {questions}")
-    if retried:
-        lines.append(f"retried questions: {retried}")
-    faults = [e for e in events if e.get("name") == "crowd.fault"]
-    if faults:
-        by_kind: Dict[str, int] = {}
-        for event in faults:
-            kind = event.get("attrs", {}).get("fault", "?")
-            by_kind[kind] = by_kind.get(kind, 0) + 1
-        rendered = ", ".join(
-            f"{kind}={count}" for kind, count in sorted(by_kind.items())
-        )
-        lines.append(f"injected faults:   {rendered}")
-
-    by_name: Dict[str, int] = {}
-    for event in events:
-        if event.get("kind") == "event":
-            name = event.get("name", "?")
-            by_name[name] = by_name.get(name, 0) + 1
-    if by_name:
-        lines.append("")
-        lines.append("-- events by name --")
-        for name in sorted(by_name):
-            lines.append(f"{by_name[name]:8d}  {name}")
-
-    spans = _span_index(events)
-    roots = [
-        span_id for span_id, span in sorted(spans.items())
-        if span["parent"] not in spans
-    ]
-    if roots:
-        lines.append("")
-        lines.append("-- span tree --")
-        for root in roots:
-            _render_span(spans, root, lines, 0)
-    return "\n".join(lines)

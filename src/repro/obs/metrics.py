@@ -18,7 +18,7 @@ quantities) so emitters, exporters and tests never spell them ad hoc.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Tuple
 
 from repro.exceptions import ObservabilityError
 
@@ -296,28 +296,30 @@ class MetricsRegistry:
             self._series[key] for key in sorted(self._series.keys())
         ]
 
+    def _samples(self) -> Iterator[Tuple[Any, str, float]]:
+        """Every exported sample as ``(series, key, value)``, in
+        :meth:`series` order: one per counter or gauge, and per
+        histogram its cumulative ``_bucket`` keys, ``_sum`` and
+        ``_count``. The one expansion behind :meth:`snapshot` and
+        :meth:`to_prometheus`."""
+        for series in self.series():
+            name = series.name
+            rendered = _render_labels(series.labels)
+            if isinstance(series, Histogram):
+                bounds = [str(b) for b in series.buckets] + ["+Inf"]
+                for bound, count in zip(bounds, series.cumulative()):
+                    labels = _label_key(dict(series.labels, le=bound))
+                    key = f"{name}_bucket{_render_labels(labels)}"
+                    yield series, key, float(count)
+                yield series, f"{name}_sum{rendered}", series.sum
+                yield series, f"{name}_count{rendered}", float(series.count)
+            else:
+                yield series, f"{name}{rendered}", float(series.value)
+
     def snapshot(self) -> Dict[str, float]:
         """Flat ``{'name{labels}': value}`` view (histograms expand to
         ``_sum`` / ``_count`` / cumulative ``_bucket`` keys)."""
-        out: Dict[str, float] = {}
-        for series in self.series():
-            rendered = _render_labels(series.labels)
-            if isinstance(series, Histogram):
-                cumulative = series.cumulative()
-                bounds = [str(b) for b in series.buckets] + ["+Inf"]
-                for bound, count in zip(bounds, cumulative):
-                    labels = dict(series.labels)
-                    labels["le"] = bound
-                    key = (
-                        f"{series.name}_bucket"
-                        f"{_render_labels(_label_key(labels))}"
-                    )
-                    out[key] = float(count)
-                out[f"{series.name}_sum{rendered}"] = series.sum
-                out[f"{series.name}_count{rendered}"] = float(series.count)
-            else:
-                out[f"{series.name}{rendered}"] = float(series.value)
-        return out
+        return {key: value for _, key, value in self._samples()}
 
     # -- cross-process merging ----------------------------------------------
 
@@ -382,41 +384,23 @@ class MetricsRegistry:
                 )
 
     def to_prometheus(self) -> str:
-        """Prometheus text exposition of every series."""
+        """Prometheus text exposition of every series: the
+        :meth:`snapshot` samples under ``# HELP`` / ``# TYPE`` lines."""
         lines: List[str] = []
         described = set()
-        for series in self.series():
+        for series, key, value in self._samples():
             if series.name not in described:
                 described.add(series.name)
                 if series.help:
                     lines.append(f"# HELP {series.name} {series.help}")
                 lines.append(f"# TYPE {series.name} {series.kind}")
-            rendered = _render_labels(series.labels)
-            if isinstance(series, Histogram):
-                cumulative = series.cumulative()
-                bounds = [_format(b) for b in series.buckets] + ["+Inf"]
-                for bound, count in zip(bounds, cumulative):
-                    labels = dict(series.labels)
-                    labels["le"] = bound
-                    lines.append(
-                        f"{series.name}_bucket"
-                        f"{_render_labels(_label_key(labels))} {count}"
-                    )
-                lines.append(
-                    f"{series.name}_sum{rendered} {_format(series.sum)}"
-                )
-                lines.append(
-                    f"{series.name}_count{rendered} {series.count}"
-                )
-            else:
-                lines.append(
-                    f"{series.name}{rendered} {_format(series.value)}"
-                )
+            lines.append(f"{key} {_format(value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _format(value: float) -> str:
-    """Render a sample value (integers without a trailing ``.0``)."""
-    if float(value).is_integer():
+    """Render a sample value exactly: integers without a trailing
+    ``.0``, fractions as the float's ``repr``."""
+    if value.is_integer():
         return str(int(value))
-    return f"{value:.10g}"
+    return repr(value)

@@ -139,9 +139,10 @@ def index_spans(events: Sequence[Dict[str, Any]]) -> Dict[int, Dict[str, Any]]:
     """Per-span summary keyed by span id.
 
     Each entry holds ``name`` / ``start`` / ``end`` / ``cpu_start`` /
-    ``cpu_end`` / ``parent`` / ``children``. Spans that never ended
-    (crashed runs) are force-closed at the trace's last timestamp so a
-    partial trace still profiles.
+    ``cpu_end`` / ``parent`` / ``attrs`` / ``children`` / ``closed``.
+    Spans that never ended (crashed runs) keep ``closed`` False and are
+    force-closed at the trace's last timestamp so a partial trace still
+    profiles.
     """
     spans: Dict[int, Dict[str, Any]] = {}
     last_ts = 0
@@ -165,10 +166,12 @@ def index_spans(events: Sequence[Dict[str, Any]]) -> Dict[int, Dict[str, Any]]:
                 "parent": event.get("parent"),
                 "attrs": event.get("attrs", {}),
                 "children": [],
+                "closed": False,
             }
         elif kind == "span_end" and span_id in spans:
             spans[span_id]["end"] = event.get("ts")
             spans[span_id]["cpu_end"] = cpu
+            spans[span_id]["closed"] = True
     for span in spans.values():
         if span["end"] is None:
             span["end"] = last_ts
@@ -370,18 +373,6 @@ def regress(
             )
     findings.sort(key=lambda f: f.ratio, reverse=True)
     return findings
-
-
-def median(values: Sequence[float]) -> float:
-    """Median of a non-empty sequence (no statistics import on the
-    bench hot path; even-length sequences average the middle pair)."""
-    if not values:
-        raise ObservabilityError("median of an empty sequence")
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _main() -> int:  # pragma: no cover - thin debug helper

@@ -10,18 +10,24 @@ journal statistics passed in as plain dicts — this module sits in the
 produced long after the run, on a different machine, via ``crowdsky
 report <trace-dir>``.
 
-Money is modelled exactly as :class:`~repro.crowd.platform.CrowdStats`
-prices it (the paper's AMT model): each latency round of *q* fresh
-questions costs ``ceil(q / per_hit)`` HITs, and every HIT pays
-``price`` to each of ``omega`` assigned workers. :func:`price_rounds`
-is the one pricer: it serves both this report (from round events, see
+Money is modelled as the paper prices it (§6.2, AMT): each latency
+round of *q* fresh questions costs :func:`round_hits` HITs,
+``ceil(q / per_hit)``, and every HIT pays ``price`` to each of
+``omega`` assigned workers. This module is the one home of that model:
+it assigns :data:`DEFAULT_PRICE`, :data:`DEFAULT_OMEGA` and
+:data:`QUESTIONS_PER_HIT`, which the crowd layer imports, and
+:func:`round_hits` is the one HIT count that ``CrowdStats.hit_cost``,
+the HIT ledger and :func:`price_rounds` share. :func:`price_rounds` is
+the one pricer: it serves both this report (from round events, see
 :func:`cost_from_events`) and
 :meth:`~repro.core.result.CrowdSkylineResult.cost_breakdown` (from the
 platform's cost records). Its total is computed with the *identical
-expression* — ``price * omega * sum(hits)`` — so it matches the
-ledger's ``hit_cost`` bit for bit; the acceptance tests pin that
-equality. The defaults below mirror the platform's (duplicated
-deliberately: layering forbids the import).
+expression* — ``price * omega * sum(hits)`` — so it matches
+``hit_cost`` bit for bit; the acceptance tests pin that equality.
+
+The text trace summary (:func:`summarize_trace`, ``crowdsky trace
+summarize``) is a rendering of its JSON twin :func:`trace_summary`, so
+the two print the same numbers.
 """
 
 from __future__ import annotations
@@ -33,14 +39,20 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, \
 
 from repro.exceptions import TraceSchemaError
 from repro.io.atomic import atomic_write_text
-from repro.obs.perf import phase_breakdown, profile_spans, utc_timestamp
+from repro.obs.perf import (
+    index_spans,
+    phase_breakdown,
+    profile_spans,
+    utc_timestamp,
+)
 from repro.obs.schema import trace_totals
 
-#: AMT cost-model defaults; keep in lockstep with
-#: ``repro.crowd.platform`` (DEFAULT_PRICE / DEFAULT_OMEGA /
-#: QUESTIONS_PER_HIT) — asserted equal in ``tests/test_report.py``.
+#: AMT price per question per worker (§6.2: $0.02).
 DEFAULT_PRICE = 0.02
+#: Workers assigned per question (§5, §6.2: ω = 5).
 DEFAULT_OMEGA = 5
+#: Questions grouped into one HIT (§6.2). The simulated backend also
+#: rolls faults per HIT of this size.
 QUESTIONS_PER_HIT = 5
 
 #: Event names that contribute fresh questions to a latency round.
@@ -56,16 +68,17 @@ RUN_REPORT_SCHEMA = "crowdsky.run_report/1"
 
 
 # ---------------------------------------------------------------------------
-# Machine-readable trace summary (``crowdsky trace summarize --format json``)
+# Trace summary (``crowdsky trace summarize [--format json]``)
 # ---------------------------------------------------------------------------
 
 
 def trace_summary(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """The JSON twin of :func:`repro.obs.exporters.summarize_trace`.
+    """The headline numbers of a trace, machine-readable, plus the
+    per-span-name profile.
 
-    Same headline numbers, machine-readable, plus the per-span-name
-    profile. Validated by :func:`validate_trace_summary` and embedded
-    verbatim in every RunReport.
+    :func:`summarize_trace` renders it as text. Validated by
+    :func:`validate_trace_summary` and embedded verbatim in every
+    RunReport.
     """
     totals = trace_totals(events)
     faults: Dict[str, int] = {}
@@ -96,6 +109,66 @@ def trace_summary(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
             for _, profile in sorted(profile_spans(events).items())
         ],
     }
+
+
+def summarize_trace(events: Sequence[Dict[str, Any]]) -> str:
+    """Human-readable report: the :func:`trace_summary` numbers, the
+    event histogram and the span tree with durations."""
+    summary = trace_summary(events)
+    lines = ["== trace summary =="]
+    lines.append(f"events:            {summary['events']}")
+    if summary["wall_s"] is not None:
+        lines.append(f"trace wall time:   {summary['wall_s'] * 1e3:.3f} ms")
+    lines.append(f"rounds:            {summary['rounds']}")
+    lines.append(f"questions asked:   {summary['questions']}")
+    if summary["retried"]:
+        lines.append(f"retried questions: {summary['retried']}")
+    faults = summary["faults"]
+    if faults:
+        rendered = ", ".join(
+            f"{kind}={count}" for kind, count in sorted(faults.items())
+        )
+        lines.append(f"injected faults:   {rendered}")
+
+    by_name = summary["events_by_name"]
+    if by_name:
+        lines.append("")
+        lines.append("-- events by name --")
+        for name in sorted(by_name):
+            lines.append(f"{by_name[name]:8d}  {name}")
+
+    spans = index_spans(events)
+    roots = [
+        span_id for span_id, span in sorted(spans.items())
+        if span["parent"] not in spans
+    ]
+    if roots:
+        lines.append("")
+        lines.append("-- span tree --")
+        for root in roots:
+            _render_span(spans, root, lines, 0)
+    return "\n".join(lines)
+
+
+def _render_span(
+    spans: Dict[int, Dict[str, Any]],
+    span_id: int,
+    lines: List[str],
+    depth: int,
+) -> None:
+    span = spans[span_id]
+    if span["closed"] and span["start"] is not None:
+        duration = f"{(span['end'] - span['start']) / 1e6:10.3f} ms"
+    else:
+        duration = "  (unclosed)"
+    attrs = span["attrs"]
+    suffix = ""
+    if attrs:
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
+        suffix = f"  [{inner}]"
+    lines.append(f"{duration}  {'  ' * depth}{span['name']}{suffix}")
+    for child in span["children"]:
+        _render_span(spans, child, lines, depth + 1)
 
 
 def validate_trace_summary(document: Mapping[str, Any]) -> None:
@@ -136,34 +209,27 @@ def _run_span_of_events(
     """Map each span id to its nearest ancestor span named ``run``
     (itself included), or None — the scope of one crowd instance's
     round counter."""
-    parents: Dict[Any, Any] = {}
-    names: Dict[Any, Any] = {}
-    for record in events:
-        if record.get("kind") == "span_start":
-            span = record.get("span")
-            parents[span] = record.get("parent")
-            names[span] = record.get("name")
+    spans = index_spans(events)
     resolved: Dict[Any, Any] = {}
-    for span in names:
+    for span_id in spans:
         chain = []
-        current = span
-        while (
-            current is not None
-            and current not in resolved
-            and names.get(current) != "run"
-        ):
+        current = span_id
+        while current in spans and current not in resolved:
+            if spans[current]["name"] == "run":
+                resolved[current] = current
+                break
             chain.append(current)
-            current = parents.get(current)
-        if current is None:
-            anchor = None
-        elif names.get(current) == "run":
-            anchor = current
-            resolved[current] = current
-        else:
-            anchor = resolved[current]
+            current = spans[current]["parent"]
+        anchor = resolved.get(current)
         for link in chain:
             resolved[link] = anchor
     return resolved
+
+
+def round_hits(questions: int, per_hit: int = QUESTIONS_PER_HIT) -> int:
+    """HITs one latency round of ``questions`` fresh questions fills:
+    ``ceil(questions / per_hit)`` (§6.2)."""
+    return math.ceil(questions / per_hit)
 
 
 def price_rounds(
@@ -205,7 +271,7 @@ def price_rounds(
         dim: {} for dim in COST_DIMENSIONS
     }
     for round_questions, context in per_round.values():
-        hits = math.ceil(round_questions / per_hit)
+        hits = round_hits(round_questions, per_hit)
         total_hits += hits
         for dim in COST_DIMENSIONS:
             value = context.get(dim)

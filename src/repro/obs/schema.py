@@ -104,11 +104,6 @@ EVENT_ATTRS: Dict[str, Dict[str, Tuple[type, ...]]] = {
 }
 
 
-def known_event_names() -> frozenset:
-    """The registered event names (the keys of :data:`EVENT_ATTRS`)."""
-    return frozenset(EVENT_ATTRS)
-
-
 def assert_known(name: str) -> None:
     """Raise :class:`TraceSchemaError` unless ``name`` is registered.
 
@@ -273,10 +268,3 @@ def check_metrics_consistency(
                 f"{metric} {int(exported)}"
             )
     return errors
-
-
-def require_valid(events: List[Dict[str, Any]]) -> None:
-    """Raise :class:`TraceSchemaError` listing every problem found."""
-    errors = validate_events(events)
-    if errors:
-        raise TraceSchemaError("; ".join(errors))

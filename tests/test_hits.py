@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.baseline import baseline_skyline
+from repro.core.crowdsky import CrowdSkyConfig
 from repro.core.parallel import parallel_sl
 from repro.crowd.hits import Hit, HitLedger, RoundRecord
 from repro.crowd.platform import SimulatedCrowd
@@ -67,17 +68,22 @@ class TestHitLedger:
 
 class TestPlatformIntegration:
     def test_ledger_tracks_every_round(self):
-        relation = movies_dataset()
-        ledger = HitLedger(seconds_per_hit=49.0, seed=1)
-        crowd = SimulatedCrowd(relation, ledger=ledger)
-        result = parallel_sl(relation, crowd=crowd)
-        assert len(ledger.rounds()) == result.stats.rounds
-        total_questions = sum(
-            hit.num_questions
-            for record in ledger.rounds()
-            for hit in record.hits
-        )
-        assert total_questions == result.stats.questions
+        # multiway=3 merges m-ary postings into their pairwise round
+        # (2 on this relation); the ledger packs each round's HITs
+        # together, as the cost prices them.
+        for config in (None, CrowdSkyConfig(multiway=3)):
+            relation = movies_dataset()
+            ledger = HitLedger(seconds_per_hit=49.0, seed=1)
+            crowd = SimulatedCrowd(relation, ledger=ledger)
+            result = parallel_sl(relation, crowd=crowd, config=config)
+            assert len(ledger.rounds()) == result.stats.rounds
+            total_questions = sum(
+                hit.num_questions
+                for record in ledger.rounds()
+                for hit in record.hits
+            )
+            assert total_questions == result.stats.questions
+            assert ledger.num_hits == result.cost_breakdown()["hits"]
 
     def test_parallel_wall_clock_dwarfs_baseline(self):
         """§6.2's practical story: minutes instead of hours on Q2."""

@@ -143,13 +143,18 @@ class TestMetrics:
         registry = M.MetricsRegistry()
         registry.counter(M.QUESTIONS_ASKED).inc(17)
         registry.counter(M.PHASE_SECONDS, phase="evaluate").inc(0.25)
+        registry.counter(M.PHASE_SECONDS, phase="post").inc(0.1234567890123)
         registry.gauge(M.MEAN_VOTES_PER_QUESTION).set(5)
+        sizes = registry.histogram(M.ROUND_SIZE, buckets=(1, 5, 20))
+        for size in (1, 3, 3, 150):
+            sizes.observe(size)
         text = registry.to_prometheus()
         assert "# TYPE crowdsky_questions_asked_total counter" in text
         values = parse_prometheus_text(text)
         assert values[M.QUESTIONS_ASKED] == 17
         assert values[M.PHASE_SECONDS + '{phase="evaluate"}'] == 0.25
         assert values[M.MEAN_VOTES_PER_QUESTION] == 5
+        assert values == registry.snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ import pytest
 
 from repro.core.crowdsky import CrowdSkyConfig, crowdsky, crowdsky_budgeted
 from repro.core.parallel import parallel_dset, parallel_sl
-from repro.crowd import platform as P
-from repro.crowd import voting as V
+from repro.data.movies import movies_dataset
 from repro.data.synthetic import generate_synthetic
 from repro.data.toy import figure1_dataset
 from repro.exceptions import TraceSchemaError
 from repro.experiments.cli import main as cli_main
-from repro.obs import observe, read_trace_jsonl
+from repro.obs import observe, read_trace_jsonl, summarize_trace
 from repro.obs import report as R
 from repro.obs.perf import (
     machine_fingerprint,
@@ -98,13 +97,6 @@ class TestProfiler:
 
 
 class TestCostAttribution:
-    def test_constants_match_the_platform(self):
-        # report.py may not import repro.crowd (layering), so it
-        # duplicates the AMT constants; this is the pin.
-        assert R.DEFAULT_PRICE == P.DEFAULT_PRICE
-        assert R.QUESTIONS_PER_HIT == P.QUESTIONS_PER_HIT
-        assert R.DEFAULT_OMEGA == V.DEFAULT_OMEGA
-
     @pytest.mark.parametrize(
         "algorithm",
         [crowdsky, parallel_dset, parallel_sl],
@@ -188,6 +180,24 @@ class TestRunReport:
         assert summary["rounds"] == result.stats.rounds
         with pytest.raises(TraceSchemaError):
             R.validate_trace_summary({"schema": "bogus"})
+
+    def test_text_summary_prints_the_json_numbers(self):
+        # multiway=3 merges 2 m-ary postings into their pairwise rounds
+        # on this relation; their questions count like any other.
+        relation = movies_dataset()
+        with observe() as observation:
+            result = parallel_sl(relation, config=CrowdSkyConfig(multiway=3))
+        events = list(observation.tracer.events)
+        assert any(e["name"] == "crowd.round_merged" for e in events)
+        summary = R.trace_summary(events)
+        assert summary["rounds"] == result.stats.rounds
+        assert summary["questions"] == result.stats.questions
+        lines = summarize_trace(events).splitlines()
+        assert f"rounds:            {summary['rounds']}" in lines
+        assert f"questions asked:   {summary['questions']}" in lines
+        # without the trace's last record, its span never ended
+        assert events[-1]["kind"] == "span_end"
+        assert "(unclosed)" in summarize_trace(events[:-1])
 
     def test_report_roundtrip_and_acceptance_bounds(
         self, traced_run, tmp_path
