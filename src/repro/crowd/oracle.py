@@ -24,7 +24,25 @@ class GroundTruthOracle:
     """Answers questions truthfully from a relation's latent values."""
 
     def __init__(self, relation: Relation):
-        self._latent = relation.latent_matrix()
+        self._load(relation.latent_matrix())
+
+    @classmethod
+    def from_latent(cls, latent: np.ndarray) -> "GroundTruthOracle":
+        """An oracle over a bare ``(n, |AC|)`` latent matrix
+        (smaller-is-better), without a relation around it."""
+        oracle = cls.__new__(cls)
+        oracle._load(np.asarray(latent, dtype=float))
+        return oracle
+
+    def _load(self, latent: np.ndarray) -> None:
+        self._latent = latent
+        # One list of Python floats per crowd attribute: pairwise truths
+        # compare two list items instead of two numpy scalars. ``tolist``
+        # is exact, so ``<`` decides ties, NaN and -0.0 as numpy does.
+        self._columns = [
+            latent[:, attribute].tolist()
+            for attribute in range(latent.shape[1])
+        ]
 
     def multiway_truth(self, question: MultiwayQuestion) -> int:
         """The most preferred candidate (ties broken by lowest index)."""
@@ -34,8 +52,9 @@ class GroundTruthOracle:
 
     def pairwise_truth(self, question: PairwiseQuestion) -> Preference:
         """The correct ternary answer (smaller latent value preferred)."""
-        left = self._latent[question.left, question.attribute]
-        right = self._latent[question.right, question.attribute]
+        column = self._columns[question.attribute]
+        left = column[question.left]
+        right = column[question.right]
         if left < right:
             return Preference.LEFT
         if right < left:

@@ -24,7 +24,6 @@ percentiles of the co-domination counts of all candidate pairs
 from __future__ import annotations
 
 import abc
-from collections import Counter
 from typing import Iterable
 
 from repro.questions import PairwiseQuestion, Preference
@@ -39,19 +38,17 @@ def majority_vote(votes: Iterable[Preference]) -> Preference:
     A strict LEFT/RIGHT tie resolves to ``EQUAL`` — the symmetric choice,
     and the only one that does not bias the pair order.
     """
-    counts = Counter(votes)
-    if not counts:
+    votes = list(votes)
+    if not votes:
         raise CrowdPlatformError("cannot aggregate an empty vote set")
-    left = counts.get(Preference.LEFT, 0)
-    right = counts.get(Preference.RIGHT, 0)
-    equal = counts.get(Preference.EQUAL, 0)
+    left = votes.count(Preference.LEFT)
+    right = votes.count(Preference.RIGHT)
+    equal = votes.count(Preference.EQUAL)
     if left > right and left >= equal:
         return Preference.LEFT
     if right > left and right >= equal:
         return Preference.RIGHT
-    if equal >= left and equal >= right:
-        return Preference.EQUAL
-    return Preference.EQUAL  # left == right > equal
+    return Preference.EQUAL
 
 
 class VotingPolicy(abc.ABC):

@@ -324,8 +324,16 @@ class WorkerPool:
         self, rng: np.random.Generator, count: int
     ) -> List[Worker]:
         """Draw ``count`` workers (with replacement, as on AMT where the
-        same worker may take several HITs of a batch)."""
+        same worker may take several HITs of a batch).
+
+        A one-worker pool does not call ``rng``: numpy fills a
+        zero-width range without drawing bits, so the stream is left
+        exactly where ``rng.integers(0, 1, size=count)`` leaves it.
+        """
         if count <= 0:
             raise CrowdPlatformError("must assign at least one worker")
-        indices = rng.integers(0, len(self._workers), size=count)
-        return [self._workers[int(i)] for i in indices]
+        workers = self._workers
+        if len(workers) == 1:
+            return workers * count
+        indices = rng.integers(0, len(workers), size=count)
+        return [workers[i] for i in indices.tolist()]

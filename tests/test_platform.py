@@ -95,6 +95,18 @@ class TestSimulatedCrowd:
         with pytest.raises(BudgetExhaustedError):
             crowd.ask_pairwise(PairwiseQuestion(0, 2))
 
+    def test_perfect_posting_leaves_the_rng_snapshot(self, toy):
+        """The perfect pool holds one worker, whose draws and answers
+        consume no randomness: the backend snapshot a journal records
+        stays where the seed put it."""
+        crowd = SimulatedCrowd(toy, seed=3)
+        before = crowd.backend_state()
+        crowd.ask_pairwise_round(
+            [PairwiseQuestion(0, 1), PairwiseQuestion(2, 5)]
+        )
+        assert crowd.stats.worker_assignments == 10
+        assert crowd.backend_state() == before
+
     def test_voting_policy_controls_assignments(self, toy):
         crowd = SimulatedCrowd(
             toy, pool=WorkerPool.uniform(), voting=StaticVoting(5), seed=0

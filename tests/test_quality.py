@@ -79,9 +79,9 @@ class TestWeightedVote:
 
 class TestQualityAwareCrowd:
     def _build(self, spammer_fraction, seed=0, gold_rate=0.3):
-        relation_latent = np.arange(20, dtype=float)[:, None]
-        oracle = GroundTruthOracle.__new__(GroundTruthOracle)
-        oracle._latent = relation_latent
+        oracle = GroundTruthOracle.from_latent(
+            np.arange(20, dtype=float)[:, None]
+        )
         workers = (
             [SpammerWorker()] * int(20 * spammer_fraction)
             + [BernoulliWorker(accuracy=0.9)]

@@ -1,5 +1,8 @@
 """Tests for majority voting and the two assignment policies (§5)."""
 
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +42,33 @@ class TestMajorityVote:
     def test_empty_votes_rejected(self):
         with pytest.raises(CrowdPlatformError):
             majority_vote([])
+        with pytest.raises(CrowdPlatformError):
+            majority_vote(vote for vote in ())
+
+    @staticmethod
+    def _counter_rule(votes):
+        """The plurality rule as a ``Counter`` tally: the spec."""
+        counts = Counter(votes)
+        left = counts.get(L, 0)
+        right = counts.get(R, 0)
+        equal = counts.get(E, 0)
+        if left > right and left >= equal:
+            return L
+        if right > left and right >= equal:
+            return R
+        if equal >= left and equal >= right:
+            return E
+        return E  # left == right > equal
+
+    def test_agrees_with_the_counter_rule(self):
+        """Every multiset of 1-9 votes, as a list and as a generator."""
+        for size in range(1, 10):
+            for votes in itertools.combinations_with_replacement(
+                (L, R, E), size
+            ):
+                expected = self._counter_rule(votes)
+                assert majority_vote(list(votes)) is expected
+                assert majority_vote(reversed(votes)) is expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.sampled_from([L, R, E]), min_size=1, max_size=9))

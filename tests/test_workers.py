@@ -1,5 +1,8 @@
 """Tests for worker error models and the worker pool."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,39 @@ class TestOracle:
     def test_value_range_degenerate(self, small_independent):
         oracle = GroundTruthOracle(small_independent)
         assert oracle.value_range(0) > 0
+
+    def test_pairwise_truth_matches_numpy_comparison(self):
+        """Every pair of a tie-heavy relation, on both attributes: equal
+        latents, -0.0 against 0.0 and NaN decide as numpy scalars do."""
+        from tests.conftest import make_relation
+
+        latent = [
+            (0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (1.0, 0.0),
+            (2.5, float("nan")), (-0.0, 2.5), (2.5, 1.0), (0.0, -0.0),
+        ]
+        relation = make_relation([(i,) for i in range(len(latent))], latent)
+        oracle = GroundTruthOracle(relation)
+        matrix = relation.latent_matrix()
+        for attribute in range(matrix.shape[1]):
+            for left, right in itertools.permutations(range(len(latent)), 2):
+                a = matrix[left, attribute]
+                b = matrix[right, attribute]
+                expected = (
+                    Preference.LEFT if a < b
+                    else Preference.RIGHT if b < a
+                    else Preference.EQUAL
+                )
+                question = PairwiseQuestion(left, right, attribute)
+                assert oracle.pairwise_truth(question) is expected
+
+    def test_from_latent_answers_like_the_relation(self, toy, oracle):
+        bare = GroundTruthOracle.from_latent(toy.latent_matrix())
+        for left in range(len(toy)):
+            question = PairwiseQuestion(left, (left + 3) % len(toy), 0)
+            assert bare.pairwise_truth(question) is (
+                oracle.pairwise_truth(question)
+            )
+        assert bare.value_range(0) == oracle.value_range(0)
 
 
 class TestPerfectWorker(object):
@@ -191,6 +227,50 @@ class TestWorkerPool:
     def test_draw_with_replacement(self, rng):
         pool = WorkerPool([PerfectWorker()])
         assert len(pool.draw(rng, 5)) == 5
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.MT19937]
+    )
+    def test_one_worker_draw_leaves_the_generator_untouched(
+        self, bit_generator
+    ):
+        """A one-worker pool draws nothing, and neither does the
+        zero-width ``integers`` call it stands for, so skipping it keeps
+        the stream. States are compared as JSON: MT19937 holds arrays."""
+
+        def state(rng):
+            return json.dumps(
+                rng.bit_generator.state,
+                sort_keys=True,
+                default=lambda array: array.tolist(),
+            )
+
+        rng = np.random.Generator(bit_generator(11))
+        rng.random(3)
+        before = state(rng)
+        worker = PerfectWorker()
+        drawn = WorkerPool([worker]).draw(rng, 7)
+        assert len(drawn) == 7
+        assert all(each is worker for each in drawn)
+        assert state(rng) == before
+        assert rng.integers(0, 1, size=7).tolist() == [0] * 7
+        assert state(rng) == before
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_one_worker_draw_count_validated(self, rng, count):
+        with pytest.raises(CrowdPlatformError):
+            WorkerPool.perfect().draw(rng, count)
+
+    def test_two_worker_draw_advances_like_integers(self):
+        workers = [PerfectWorker(), BernoulliWorker()]
+        pool = WorkerPool(workers)
+        rng = np.random.default_rng(5)
+        twin = np.random.default_rng(5)
+        for _ in range(3):
+            drawn = pool.draw(rng, 5)
+            indices = twin.integers(0, 2, size=5)
+            assert drawn == [workers[i] for i in indices]
+            assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_mixed_pool_spammer_fraction(self, rng):
         pool = WorkerPool.mixed(rng, size=20, spammer_fraction=0.5)
