@@ -186,14 +186,18 @@ def index_spans(events: Sequence[Dict[str, Any]]) -> Dict[int, Dict[str, Any]]:
 
 def profile_spans(
     events: Sequence[Dict[str, Any]],
+    spans: Optional[Dict[int, Dict[str, Any]]] = None,
 ) -> Dict[str, SpanStats]:
     """Aggregate a trace's spans into per-name wall/CPU statistics.
 
     Self time is each span's duration minus the sum of its direct
     children's durations (clamped at zero against absorbed traces,
     whose re-stamped children can nominally outlast their parent).
+    ``spans`` is the trace's :func:`index_spans`, when the caller has
+    already built it.
     """
-    spans = index_spans(events)
+    if spans is None:
+        spans = index_spans(events)
     stats: Dict[str, SpanStats] = {}
     for span in spans.values():
         if span["start"] is None or span["end"] is None:
@@ -222,7 +226,10 @@ def profile_spans(
     return stats
 
 
-def phase_breakdown(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+def phase_breakdown(
+    events: Sequence[Dict[str, Any]],
+    spans: Optional[Dict[int, Dict[str, Any]]] = None,
+) -> Dict[str, Any]:
     """The per-phase table a RunReport prints.
 
     ``total_wall_ns`` is the summed duration of the trace's *root*
@@ -230,10 +237,11 @@ def phase_breakdown(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     attributed to its name; the residue of the roots (time outside any
     child span) already lives in the roots' own self entries, so
     ``sum(phase.self_ns) == total_wall_ns`` exactly — phases partition
-    the traced time.
+    the traced time. ``spans`` is as for :func:`profile_spans`.
     """
-    spans = index_spans(events)
-    stats = profile_spans(events)
+    if spans is None:
+        spans = index_spans(events)
+    stats = profile_spans(events, spans)
     total = 0
     total_cpu = 0
     cpu_known = False

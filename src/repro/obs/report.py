@@ -28,6 +28,10 @@ expression* — ``price * omega * sum(hits)`` — so it matches
 The text trace summary (:func:`summarize_trace`, ``crowdsky trace
 summarize``) is a rendering of its JSON twin :func:`trace_summary`, so
 the two print the same numbers.
+
+Each of these reads the trace's span index (:func:`index_spans`). A
+caller that needs several of them, as :func:`build_run_report` does,
+indexes the trace once and passes the index down as ``spans``.
 """
 
 from __future__ import annotations
@@ -72,7 +76,10 @@ RUN_REPORT_SCHEMA = "crowdsky.run_report/1"
 # ---------------------------------------------------------------------------
 
 
-def trace_summary(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+def trace_summary(
+    events: Sequence[Dict[str, Any]],
+    spans: Optional[Dict[int, Dict[str, Any]]] = None,
+) -> Dict[str, Any]:
     """The headline numbers of a trace, machine-readable, plus the
     per-span-name profile.
 
@@ -80,6 +87,16 @@ def trace_summary(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     :func:`validate_trace_summary` and embedded verbatim in every
     RunReport.
     """
+    summary = _headline(events)
+    summary["spans"] = [
+        profile.to_dict()
+        for _, profile in sorted(profile_spans(events, spans).items())
+    ]
+    return summary
+
+
+def _headline(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """:func:`trace_summary` without its span profile."""
     totals = trace_totals(events)
     faults: Dict[str, int] = {}
     for event in events:
@@ -104,17 +121,13 @@ def trace_summary(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "retried": totals["retried"],
         "faults": faults,
         "events_by_name": by_name,
-        "spans": [
-            profile.to_dict()
-            for _, profile in sorted(profile_spans(events).items())
-        ],
     }
 
 
 def summarize_trace(events: Sequence[Dict[str, Any]]) -> str:
     """Human-readable report: the :func:`trace_summary` numbers, the
     event histogram and the span tree with durations."""
-    summary = trace_summary(events)
+    summary = _headline(events)
     lines = ["== trace summary =="]
     lines.append(f"events:            {summary['events']}")
     if summary["wall_s"] is not None:
@@ -203,13 +216,10 @@ def validate_trace_summary(document: Mapping[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_span_of_events(
-    events: Sequence[Dict[str, Any]]
-) -> Dict[Any, Any]:
+def _run_span_of(spans: Dict[int, Dict[str, Any]]) -> Dict[Any, Any]:
     """Map each span id to its nearest ancestor span named ``run``
     (itself included), or None — the scope of one crowd instance's
     round counter."""
-    spans = index_spans(events)
     resolved: Dict[Any, Any] = {}
     for span_id in spans:
         chain = []
@@ -307,6 +317,7 @@ def cost_from_events(
     price: float = DEFAULT_PRICE,
     omega: int = DEFAULT_OMEGA,
     per_hit: int = QUESTIONS_PER_HIT,
+    spans: Optional[Dict[int, Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """Charge every round's money back to its recorded cost context.
 
@@ -318,7 +329,7 @@ def cost_from_events(
     by (nearest enclosing ``run`` span, round number), which scopes the
     counter to its run.
     """
-    run_of = _run_span_of_events(events)
+    run_of = _run_span_of(index_spans(events) if spans is None else spans)
     postings = []
     for event in events:
         if event.get("name") in ROUND_EVENTS:
@@ -349,13 +360,16 @@ def build_run_report(
     is a plain stats dict computed by the caller (the ``obs`` layer
     cannot read journals itself).
     """
+    spans = index_spans(events)
     return {
         "schema": RUN_REPORT_SCHEMA,
         "generated_at": utc_timestamp(),
         "meta": dict(meta) if meta else {},
-        "trace": trace_summary(events),
-        "profile": phase_breakdown(events),
-        "cost": cost_from_events(events, price=price, omega=omega, per_hit=per_hit),
+        "trace": trace_summary(events, spans),
+        "profile": phase_breakdown(events, spans),
+        "cost": cost_from_events(
+            events, price=price, omega=omega, per_hit=per_hit, spans=spans
+        ),
         "metrics": dict(metrics) if metrics else {},
         "journal": dict(journal) if journal else None,
     }
