@@ -473,7 +473,11 @@ class SimulatedCrowd:
             observation.tracer.event(
                 "crowd.unresolved", question=list(key), reason=reason
             )
-        _log.warning("question %s permanently unresolved (%s)", key, reason)
+        # A budget refusal is logged once per posting, by _admit.
+        if reason != "budget":
+            _log.warning(
+                "question %s permanently unresolved (%s)", key, reason
+            )
 
     @property
     def relation(self) -> Relation:

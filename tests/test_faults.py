@@ -17,6 +17,7 @@ Covers the robustness layer end to end:
 * atomicity of round accounting under a strict budget abort.
 """
 
+import logging
 import os
 import re
 
@@ -43,6 +44,7 @@ from repro.exceptions import (
     RetriesExhaustedError,
 )
 from repro.metrics.accuracy import ground_truth_skyline
+from repro.obs import observe
 from tests.strategies import (
     ROBUSTNESS_SETTINGS,
     fault_plans,
@@ -52,6 +54,20 @@ from tests.strategies import (
 )
 
 SCHEDULERS = [crowdsky, parallel_dset, parallel_sl]
+
+
+@pytest.fixture
+def platform_log(caplog, monkeypatch):
+    """``caplog`` at INFO over the crowd platform's records.
+
+    The ``repro`` logger is put back as the library leaves it, silent
+    and propagating: an in-process CLI test earlier in the session
+    configures it for its own captured stderr and stops propagation."""
+    logger = logging.getLogger("repro")
+    monkeypatch.setattr(logger, "handlers", [logging.NullHandler()])
+    monkeypatch.setattr(logger, "propagate", True)
+    caplog.set_level(logging.INFO, logger="repro.crowd.platform")
+    return caplog
 
 #: Seeds swept by the robustness suite; override via the env var
 #: (space- or comma-separated), e.g. ``make test-robustness
@@ -563,6 +579,44 @@ class TestBudgetAtomicity:
         assert list(answers) == [fresh]
         assert crowd.is_unresolved(given_up)
         assert crowd.stats.questions == 1
+
+    def test_budget_refusal_logs_once_per_posting(self, platform_log):
+        """A refused posting is one INFO record. Its questions are not
+        logged again one WARNING each; their ``crowd.unresolved``
+        events stay, one per question."""
+        relation = generate_synthetic(40, 2, 2, seed=7)
+        crowd = SimulatedCrowd(relation, seed=1, strict=False)
+        with observe() as observation:
+            crowdsky_budgeted(relation, 10, crowd)
+        names = [event.get("name") for event in observation.tracer.events]
+        denials = names.count("crowd.budget")
+        records = [
+            record for record in platform_log.records
+            if record.name == "repro.crowd.platform"
+        ]
+        assert denials > 10
+        assert names.count("crowd.unresolved") == (
+            crowd.stats.unresolved_questions
+        )
+        assert crowd.stats.unresolved_questions > denials
+        assert [r.levelno for r in records] == [logging.INFO] * denials
+
+    def test_fault_unresolved_logs_a_warning_per_question(
+        self, platform_log, toy
+    ):
+        crowd = SimulatedCrowd(
+            toy, seed=0, faults=FaultPlan(hit_timeout_rate=1.0, seed=0)
+        )
+        crowd.ask_pairwise_round(
+            [PairwiseQuestion(0, 1), PairwiseQuestion(0, 2)]
+        )
+        warnings = [
+            record.getMessage() for record in platform_log.records
+            if record.levelno == logging.WARNING
+        ]
+        assert crowd.stats.unresolved_questions == 2
+        assert len(warnings) == 2
+        assert all("(no_retry_policy)" in message for message in warnings)
 
     def test_non_strict_budget_does_not_copy_the_unresolved_set(
         self, monkeypatch
