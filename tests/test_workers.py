@@ -221,8 +221,10 @@ class TestWorkerPool:
         )
 
     def test_draw_count_validated(self, rng):
-        with pytest.raises(CrowdPlatformError):
-            WorkerPool.uniform().draw(rng, 0)
+        for pool in (WorkerPool.uniform(), WorkerPool.perfect()):
+            for count in (0, -1):
+                with pytest.raises(CrowdPlatformError):
+                    pool.draw(rng, count)
 
     def test_draw_with_replacement(self, rng):
         pool = WorkerPool([PerfectWorker()])
@@ -255,11 +257,6 @@ class TestWorkerPool:
         assert state(rng) == before
         assert rng.integers(0, 1, size=7).tolist() == [0] * 7
         assert state(rng) == before
-
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_one_worker_draw_count_validated(self, rng, count):
-        with pytest.raises(CrowdPlatformError):
-            WorkerPool.perfect().draw(rng, count)
 
     def test_two_worker_draw_advances_like_integers(self):
         workers = [PerfectWorker(), BernoulliWorker()]
