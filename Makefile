@@ -74,9 +74,9 @@ test-sanitize:
 test-recovery:
 	pytest tests/test_journal.py tests/test_recovery.py -m recovery -q
 
-# Sharded-vs-serial differential harness: machine-phase byte-identity
-# across shard counts/partitioners/schedulers, merge-cost invariants,
-# crash-resume (docs/sharding.md).
+# Sharded-vs-serial differential harness: the sharded skyline mask
+# equals the serial one across shard counts, partitioners and the
+# process pool, plus merge-cost invariants (docs/sharding.md).
 test-sharded:
 	REPRO_TEST_SHARDS="$(REPRO_TEST_SHARDS)" pytest tests/test_sharded.py -m shard -q
 

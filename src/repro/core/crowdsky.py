@@ -34,7 +34,6 @@ from repro.core.engine import (
     Request,
     ask_batch,
     build_context,
-    check_shard_options,
     ensure_run_header,
     request_unresolved,
     visible_tuples,
@@ -112,25 +111,10 @@ class CrowdSkyConfig:
         ``REPRO_PREF_BACKEND`` environment variable. Both backends
         produce identical questions, rounds and skylines — the
         differential suite pins them together.
-    shards:
-        Shard count for the machine phase (``1`` = the serial path).
-        Any value yields byte-identical layers, dominating sets and
-        question order (docs/sharding.md); ``tests/test_sharded.py``
-        pins the equality.
-    shard_jobs:
-        Worker processes for the sharded machine phase; ``1`` computes
-        shards inline (still skipping the serial path's duplicate
-        dominance pass), ``> 1`` fans out over a
-        ``ProcessPoolExecutor``.
-    shard_partitioner:
-        ``'range'`` (contiguous blocks) or ``'hash'`` (seeded hash
-        assignment); see :data:`repro.skyline.sharded.PARTITIONERS`.
 
-    A ``multiway`` below 2, a ``shards`` or ``shard_jobs`` below 1, an
-    unknown ``backend`` name (or, with ``backend=None``, an unknown
-    ``REPRO_PREF_BACKEND``), or an unknown partitioner with
-    ``shards > 1`` raises :class:`~repro.exceptions.CrowdSkyError` when
-    the config is built.
+    A ``multiway`` below 2 or an unknown ``backend`` name (or, with
+    ``backend=None``, an unknown ``REPRO_PREF_BACKEND``) raises
+    :class:`~repro.exceptions.CrowdSkyError` when the config is built.
     """
 
     pruning: PruningLevel = PruningLevel.P1_P2_P3
@@ -139,9 +123,6 @@ class CrowdSkyConfig:
     probe_ascending: bool = False
     multiway: int = 2
     backend: Optional[str] = None
-    shards: int = 1
-    shard_jobs: int = 1
-    shard_partitioner: str = "range"
 
     def __post_init__(self) -> None:
         """Refuse an invalid config where it is built, so no entry point
@@ -151,9 +132,6 @@ class CrowdSkyConfig:
             raise CrowdSkyError(
                 f"multiway must be >= 2, got {self.multiway}"
             )
-        check_shard_options(
-            self.shards, self.shard_jobs, self.shard_partitioner
-        )
         if self.backend is None:
             # Read REPRO_PREF_BACKEND now; the payload keeps the None.
             default_backend()
@@ -169,9 +147,6 @@ class CrowdSkyConfig:
             "probe_ascending": self.probe_ascending,
             "multiway": self.multiway,
             "backend": self.backend,
-            "shards": self.shards,
-            "shard_jobs": self.shard_jobs,
-            "shard_partitioner": self.shard_partitioner,
         }
 
     def context_options(self) -> Dict[str, Any]:
@@ -181,17 +156,15 @@ class CrowdSkyConfig:
             "policy": self.policy,
             "ac_round_robin": self.ac_round_robin,
             "backend": self.backend,
-            "shards": self.shards,
-            "shard_jobs": self.shard_jobs,
-            "shard_partitioner": self.shard_partitioner,
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CrowdSkyConfig":
         """Inverse of :meth:`to_payload` (the resume path).
 
-        The shard fields default when absent so journals written before
-        the sharded machine phase existed still resume.
+        Keys it does not read are ignored, so a header that still holds
+        the three shard keys of the former sharded dominance matrix
+        resumes as a serial run, which asks the same questions.
         """
         return cls(
             pruning=PruningLevel(payload["pruning"]),
@@ -200,9 +173,6 @@ class CrowdSkyConfig:
             probe_ascending=payload["probe_ascending"],
             multiway=payload["multiway"],
             backend=payload["backend"],
-            shards=payload.get("shards", 1),
-            shard_jobs=payload.get("shard_jobs", 1),
-            shard_partitioner=payload.get("shard_partitioner", "range"),
         )
 
 

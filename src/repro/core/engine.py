@@ -32,7 +32,6 @@ from repro.obs.metrics import QUESTIONS_SAVED_TRANSITIVITY
 # perfbench/layers.py wraps it by name.
 from repro.skyline.dominating import FrequencyOracle, dominating_sets
 from repro.skyline.dominance import dominance_matrix
-from repro.skyline.sharded import PARTITIONERS, sharded_dominance_matrix
 
 Request = Union[PairRequest, MultiwayRequest]
 
@@ -188,22 +187,6 @@ def ensure_run_header(
     )
 
 
-def check_shard_options(
-    shards: int, shard_jobs: int, shard_partitioner: str
-) -> None:
-    """Raise :class:`CrowdSkyError` on an invalid machine-phase sharding
-    option."""
-    if shards < 1:
-        raise CrowdSkyError(f"shards must be >= 1, got {shards}")
-    if shard_jobs < 1:
-        raise CrowdSkyError(f"shard_jobs must be >= 1, got {shard_jobs}")
-    if shards > 1 and shard_partitioner not in PARTITIONERS:
-        raise CrowdSkyError(
-            f"unknown partitioner {shard_partitioner!r}; "
-            f"pick from {sorted(PARTITIONERS)}"
-        )
-
-
 def build_context(
     relation: Relation,
     crowd: Optional[SimulatedCrowd] = None,
@@ -211,9 +194,6 @@ def build_context(
     ac_round_robin: bool = False,
     visible_crowd: Optional[Iterable[int]] = None,
     backend: Optional[str] = None,
-    shards: int = 1,
-    shard_jobs: int = 1,
-    shard_partitioner: str = "range",
 ) -> ExecutionContext:
     """Prepare the machine-side structures and run the degenerate-case
     preprocessing (Algorithm 1 lines 1-3).
@@ -224,18 +204,14 @@ def build_context(
     selects the preference-closure implementation (``'numpy'`` |
     ``'reference'``; None = the ``REPRO_PREF_BACKEND`` default).
 
-    ``shards > 1`` computes the dominance matrix shard-by-shard
-    (optionally across ``shard_jobs`` worker processes); it is
-    bit-identical to the serial matrix, so every downstream question is
-    unchanged (docs/sharding.md). Either way ``DS(t)`` is read off that
-    one matrix, column by column, when a scheduler asks for it.
+    ``DS(t)`` is read off the dominance matrix, column by column, when
+    a scheduler asks for it.
     """
     if relation.schema.num_crowd < 1:
         raise CrowdSkyError(
             "crowd-enabled skyline needs at least one crowd attribute; "
             "use repro.skyline for machine-only skylines"
         )
-    check_shard_options(shards, shard_jobs, shard_partitioner)
     if crowd is None:
         crowd = SimulatedCrowd(relation)
     if crowd.relation is not relation:
@@ -262,16 +238,7 @@ def build_context(
         crowd.set_cost_context(phase=None)
 
         with spans.span("engine.dominance"):
-            known = relation.known_matrix()
-            if shards > 1:
-                matrix = sharded_dominance_matrix(
-                    known,
-                    shards=shards,
-                    partitioner=shard_partitioner,
-                    jobs=shard_jobs,
-                )
-            else:
-                matrix = dominance_matrix(known)
+            matrix = dominance_matrix(relation.known_matrix())
             frequency = FrequencyOracle(matrix)
 
         with spans.span("engine.dominating_sets"):

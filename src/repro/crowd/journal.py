@@ -487,13 +487,11 @@ class JournalWriter:
         self,
         directory: Union[str, Path],
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        fsync: bool = True,
         _recovered: Optional[RecoveredJournal] = None,
     ):
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._segment_bytes = segment_bytes
-        self._fsync = fsync
         self._closed = False
         existing = segment_paths(self._dir)
         #: Standalone records already durable from a recovered run, in
@@ -541,13 +539,11 @@ class JournalWriter:
         cls,
         recovered: RecoveredJournal,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        fsync: bool = True,
     ) -> "JournalWriter":
         """An appending writer continuing a recovered journal."""
         return cls(
             recovered.directory,
             segment_bytes=segment_bytes,
-            fsync=fsync,
             _recovered=recovered,
         )
 
@@ -572,15 +568,13 @@ class JournalWriter:
         if observation.enabled:
             with observation.tracer.span("journal.fsync") as span:
                 self._handle.flush()
-                if self._fsync:
-                    os.fsync(self._handle.fileno())
+                os.fsync(self._handle.fileno())
             observation.metrics.histogram(
                 JOURNAL_FSYNC_SECONDS, buckets=LATENCY_BUCKETS_S
             ).observe(span.duration_s or 0.0)
             return
         self._handle.flush()
-        if self._fsync:
-            os.fsync(self._handle.fileno())
+        os.fsync(self._handle.fileno())
 
     def _maybe_rotate(self) -> None:
         if self._handle.tell() < self._segment_bytes:

@@ -241,7 +241,14 @@ def phase_breakdown(
     """
     if spans is None:
         spans = index_spans(events)
-    stats = profile_spans(events, spans)
+    return _phase_table(spans, profile_spans(events, spans))
+
+
+def _phase_table(
+    spans: Dict[int, Dict[str, Any]], stats: Dict[str, SpanStats]
+) -> Dict[str, Any]:
+    """:func:`phase_breakdown` from a trace's :func:`index_spans` and
+    their :func:`profile_spans`, for a caller that has built both."""
     total = 0
     total_cpu = 0
     cpu_known = False

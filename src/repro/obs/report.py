@@ -44,8 +44,9 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, \
 from repro.exceptions import TraceSchemaError
 from repro.io.atomic import atomic_write_text
 from repro.obs.perf import (
+    SpanStats,
+    _phase_table,
     index_spans,
-    phase_breakdown,
     profile_spans,
     utc_timestamp,
 )
@@ -87,10 +88,16 @@ def trace_summary(
     :func:`validate_trace_summary` and embedded verbatim in every
     RunReport.
     """
+    return _summary(events, profile_spans(events, spans))
+
+
+def _summary(
+    events: Sequence[Dict[str, Any]], stats: Dict[str, SpanStats]
+) -> Dict[str, Any]:
+    """:func:`trace_summary` with the span profile ``stats`` built."""
     summary = _headline(events)
     summary["spans"] = [
-        profile.to_dict()
-        for _, profile in sorted(profile_spans(events, spans).items())
+        profile.to_dict() for _, profile in sorted(stats.items())
     ]
     return summary
 
@@ -361,12 +368,13 @@ def build_run_report(
     cannot read journals itself).
     """
     spans = index_spans(events)
+    stats = profile_spans(events, spans)
     return {
         "schema": RUN_REPORT_SCHEMA,
         "generated_at": utc_timestamp(),
         "meta": dict(meta) if meta else {},
-        "trace": trace_summary(events, spans),
-        "profile": phase_breakdown(events, spans),
+        "trace": _summary(events, stats),
+        "profile": _phase_table(spans, stats),
         "cost": cost_from_events(
             events, price=price, omega=omega, per_hit=per_hit, spans=spans
         ),

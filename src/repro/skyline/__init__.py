@@ -13,9 +13,9 @@ the full matrix when computing ground truth):
 * :mod:`repro.skyline.layers` — skyline layers + covering graph (§4.2),
 * :mod:`repro.skyline.dominating` — dominating sets ``DS(t)`` and pair
   frequency ``freq(u, v)`` (§3.1, §3.4),
-* :mod:`repro.skyline.sharded` — deterministic shard partitioners,
-  per-shard local skylines with a communication-cost-aware merge, and
-  the row-sharded dominance matrix (docs/sharding.md).
+* :mod:`repro.skyline.sharded` — deterministic shard partitioners and
+  per-shard local skylines with a communication-cost-aware merge
+  (docs/sharding.md).
 """
 
 from repro.skyline.bnl import bnl_skyline
@@ -33,7 +33,6 @@ from repro.skyline.dominating import (
     dominating_sets_from_matrix,
     evaluation_order,
     pair_frequency,
-    pair_frequency_table,
 )
 from repro.skyline.layers import covering_graph, skyline_layers
 from repro.skyline.sfs import sfs_skyline
@@ -42,7 +41,6 @@ from repro.skyline.sharded import (
     ShardStats,
     local_skyline_mask,
     make_plan,
-    sharded_dominance_matrix,
     sharded_skyline_mask,
 )
 
@@ -64,9 +62,7 @@ __all__ = [
     "local_skyline_mask",
     "make_plan",
     "pair_frequency",
-    "pair_frequency_table",
     "sfs_skyline",
-    "sharded_dominance_matrix",
     "sharded_skyline_mask",
     "skyline_layers",
 ]

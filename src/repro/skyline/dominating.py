@@ -95,20 +95,6 @@ def pair_frequency(matrix: np.ndarray, u: int, v: int) -> int:
     return int(np.count_nonzero(matrix[u] & matrix[v]))
 
 
-def pair_frequency_table(
-    data: np.ndarray,
-) -> TupleT[np.ndarray, Dict[TupleT[int, int], int]]:
-    """The dominance matrix plus a lazy frequency lookup helper.
-
-    Returns the boolean dominance matrix and an (initially empty) cache
-    dict; use :func:`pair_frequency` for individual lookups. Provided for
-    callers that need many frequencies without recomputing the matrix.
-    """
-    matrix = dominance_matrix(np.asarray(data, dtype=float))
-    cache: Dict[TupleT[int, int], int] = {}
-    return matrix, cache
-
-
 class FrequencyOracle:
     """Cached ``freq(u, v)`` lookups over a fixed dominance matrix.
 

@@ -1,34 +1,26 @@
 """Sharded machine-phase skyline (distributed-skyline template).
 
-Partition the relation into deterministic shards, do per-shard work
-with the vectorized dominance kernels (optionally fanned out over a
-``ProcessPoolExecutor``), then merge — the local-skyline/merge scheme
-of *Computing Skylines on Distributed Data* (see PAPERS.md), adapted
-to two regimes this codebase actually runs:
+Partition the relation into deterministic shards, compute each shard's
+local skyline with the vectorized dominance kernels (optionally fanned
+out over a ``ProcessPoolExecutor``), then merge — the
+local-skyline/merge scheme of *Computing Skylines on Distributed Data*
+(see PAPERS.md). A tuple dominated inside its own shard can never be in
+the global skyline, so only shard-local skyline survivors are shipped
+to the coordinator (``tuples_shipped`` stays near the final skyline
+size, not ``n``), and no ``n × n`` matrix is ever built.
 
-* :func:`sharded_skyline_mask` — per-shard **local skylines** followed
-  by a communication-cost-aware merge: a tuple dominated inside its own
-  shard can never be in the global skyline, so only shard-local skyline
-  survivors are shipped to the coordinator (``tuples_shipped`` stays
-  near the final skyline size, not ``n``). This is the path that scales
-  to millions of tuples; it never materializes an ``n × n`` matrix.
-* :func:`sharded_dominance_matrix` — row-block sharding of the exact
-  boolean dominance matrix the crowd pipeline needs (``DS(t)`` must
-  exist for *every* tuple, skyline or not, so the full matrix is the
-  deliverable). Each shard computes its own rows; assembly in plan
-  order makes the result bit-identical to
-  :func:`repro.skyline.dominance.dominance_matrix`, which is what lets
-  :func:`repro.core.engine.build_context` switch over without changing
-  a single downstream question.
+This regime serves machine-only skylines. The crowd pipeline needs
+``DS(t)`` for *every* tuple, so it builds the full dominance matrix
+with :func:`repro.skyline.dominance.dominance_matrix` instead.
 
 Determinism contract (docs/sharding.md): partitioners are pure
 functions of ``(n, shards, seed)`` — no RNG objects, no dict-order or
-scheduling dependence — and every merge walks shards in plan order, so
-a sharded run is byte-identical across processes, job counts and
-repeat invocations.
+scheduling dependence — and the merge walks shards in plan order, so a
+sharded skyline is identical across processes, job counts and repeat
+invocations.
 
-Both entry points emit ``shard.map`` / ``shard.merge`` tracer spans;
-:func:`sharded_skyline_mask` additionally increments the
+:func:`sharded_skyline_mask` emits ``shard.map`` / ``shard.merge``
+tracer spans and increments the
 :data:`repro.obs.metrics.SHARD_TUPLES_SHIPPED` and
 :data:`repro.obs.metrics.SHARD_DOMINANCE_CHECKS` counters.
 """
@@ -190,23 +182,13 @@ def local_skyline_mask(
 
 
 # ---------------------------------------------------------------------------
-# Pool workers (module-level so ProcessPoolExecutor can pickle them)
+# Pool worker (module-level so ProcessPoolExecutor can pickle it)
 # ---------------------------------------------------------------------------
 
 
 def _local_skyline_cell(rows: np.ndarray) -> Tuple[np.ndarray, int]:
     """Worker: local skyline of one shard's rows."""
     return local_skyline_mask(rows)
-
-
-def _matrix_rows(data: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Worker: ``M[indices, :]``, the dominance-matrix rows owned by one
-    shard, built by the same row-block kernel as
-    :func:`repro.skyline.dominance.dominance_matrix`."""
-    out = np.empty((indices.size, data.shape[0]), dtype=bool)
-    for start, block in _dominance_blocks(data[indices], data):
-        out[start:start + block.shape[0]] = block
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -321,67 +303,3 @@ def sharded_skyline_mask(
             SHARD_DOMINANCE_CHECKS, stage="merge"
         ).inc(stats.merge_checks)
     return keep, stats
-
-
-# ---------------------------------------------------------------------------
-# Sharded dominance matrix (the crowd pipeline's machine phase)
-# ---------------------------------------------------------------------------
-
-
-def sharded_dominance_matrix(
-    data: np.ndarray,
-    shards: int,
-    partitioner: str = "range",
-    jobs: int = 1,
-    seed: int = 0,
-    plan: Optional[ShardPlan] = None,
-) -> np.ndarray:
-    """The full boolean dominance matrix, computed shard-by-shard.
-
-    Each shard owns the matrix rows of its tuple indices (every row is
-    independent of every other, so row blocks parallelize trivially);
-    assembly scatters them back by global index, making the result
-    bit-identical to :func:`repro.skyline.dominance.dominance_matrix`
-    for any shard count, partitioner or job count — the property the
-    engine's byte-identity contract rests on.
-    """
-    data = np.asarray(data, dtype=float)
-    n = data.shape[0]
-    if plan is None:
-        plan = make_plan(n, shards, partitioner, seed)
-    elif plan.n != n:
-        raise CrowdSkyError(
-            f"shard plan was built for n={plan.n}, data has n={n}"
-        )
-    observation = current_observation()
-    spans = observation.tracer if observation.enabled else NOOP_TRACER
-    result = np.zeros((n, n), dtype=bool)
-
-    with spans.span(
-        "shard.map", shards=plan.shards, partitioner=plan.partitioner,
-        jobs=jobs, n=n,
-    ):
-        if jobs > 1 and sum(1 for part in plan.parts if part.size) > 1:
-            workers = min(jobs, len(plan.parts))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_matrix_rows, data, part)
-                    for part in plan.parts
-                ]
-                blocks = [future.result() for future in futures]
-        else:
-            blocks = [_matrix_rows(data, part) for part in plan.parts]
-
-    with spans.span("shard.merge", shards=plan.shards):
-        for part, block in zip(plan.parts, blocks):
-            if part.size:
-                result[part] = block
-    if observation.enabled:
-        # The matrix regime ships every row block back — n rows, n*n
-        # checks — unlike the merge regime's O(skyline) traffic; the
-        # stage label keeps the two regimes apart in the export.
-        observation.metrics.counter(SHARD_TUPLES_SHIPPED).inc(n)
-        observation.metrics.counter(
-            SHARD_DOMINANCE_CHECKS, stage="matrix"
-        ).inc(n * n)
-    return result

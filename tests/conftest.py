@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,22 @@ from repro.data.relation import (
 )
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.data.toy import figure1_dataset, figure3_dataset
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """Put the ``repro`` logger's handlers, level and ``propagate`` back
+    after every test. An in-process CLI run configures the logger for
+    that test's captured stderr and stops propagation; a later test
+    would otherwise log to a closed stream."""
+    logger = logging.getLogger("repro")
+    handlers = list(logger.handlers)
+    level = logger.level
+    propagate = logger.propagate
+    yield
+    logger.handlers = handlers
+    logger.setLevel(level)
+    logger.propagate = propagate
 
 
 @pytest.fixture

@@ -74,10 +74,6 @@ SCHEDULERS = {
 
 BUDGETED = "crowdsky_budgeted"
 
-#: Shard count pinned alongside the serial counts (``@shards4`` keys).
-#: The hash partitioner is the interesting one — non-contiguous shards.
-GOLDEN_SHARDS = 4
-
 
 def _noisy_pool() -> WorkerPool:
     return WorkerPool.uniform(size=9, accuracy=0.75)
@@ -195,17 +191,11 @@ def run_case(
     relation,
     scheduler_name: str,
     backend: str,
-    shards: int = 1,
     crowd: str = "perfect",
     budget: int = 0,
     **options,
 ) -> dict:
-    config = CrowdSkyConfig(
-        backend=backend,
-        shards=shards,
-        shard_partitioner="hash" if shards > 1 else "range",
-        **options,
-    )
+    config = CrowdSkyConfig(backend=backend, **options)
     platform = CROWDS[crowd](relation)
     if scheduler_name == BUDGETED:
         result = crowdsky_budgeted(relation, budget, platform, config=config)
@@ -263,22 +253,6 @@ def build_golden() -> dict:
                 },
             )
             golden[key] = per_backend
-            # Sharded machine phase: pinned with its own keys, and
-            # asserted equal to the serial counts at generation time so
-            # shard divergence can never be baked into the fixture.
-            sharded = {
-                backend: run_case(
-                    relation, scheduler_name, backend,
-                    shards=GOLDEN_SHARDS,
-                )
-                for backend in BACKENDS
-            }
-            if sharded != per_backend:
-                raise SystemExit(
-                    f"sharded drift while regenerating golden counts: "
-                    f"{key}: {sharded} != {per_backend}"
-                )
-            golden[f"{key}@shards{GOLDEN_SHARDS}"] = sharded
     # Budgeted cases last: their budgets come from their serial twins.
     cases = extra_cases()
     for key in sorted(cases, key=lambda key: BUDGETED in key):

@@ -318,10 +318,7 @@ class TestConfigValidation:
         [
             {"multiway": 1},
             {"multiway": 0},
-            {"shards": 0},
-            {"shard_jobs": 0},
             {"backend": "quantum"},
-            {"shards": 2, "shard_partitioner": "nope"},
         ],
         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -370,6 +367,3 @@ class TestConfigValidation:
             _entry_points()[entry](relation, crowd)
         assert crowd.stats.questions == 0
         assert recover_journal(journal).header is None
-
-    def test_partitioner_is_free_without_shards(self):
-        assert CrowdSkyConfig(shard_partitioner="nope").shards == 1

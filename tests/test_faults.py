@@ -57,15 +57,8 @@ SCHEDULERS = [crowdsky, parallel_dset, parallel_sl]
 
 
 @pytest.fixture
-def platform_log(caplog, monkeypatch):
-    """``caplog`` at INFO over the crowd platform's records.
-
-    The ``repro`` logger is put back as the library leaves it, silent
-    and propagating: an in-process CLI test earlier in the session
-    configures it for its own captured stderr and stops propagation."""
-    logger = logging.getLogger("repro")
-    monkeypatch.setattr(logger, "handlers", [logging.NullHandler()])
-    monkeypatch.setattr(logger, "propagate", True)
+def platform_log(caplog):
+    """``caplog`` at INFO over the crowd platform's records."""
     caplog.set_level(logging.INFO, logger="repro.crowd.platform")
     return caplog
 

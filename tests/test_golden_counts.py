@@ -21,7 +21,6 @@ from tests.regen_golden import (
     BACKENDS,
     BUDGETED,
     GOLDEN_PATH,
-    GOLDEN_SHARDS,
     SCHEDULERS,
     datasets,
     extra_cases,
@@ -69,26 +68,6 @@ def test_counts_match_golden(
         )
 
 
-@pytest.mark.parametrize("scheduler_name", sorted(SCHEDULERS))
-@pytest.mark.parametrize("dataset_name", ["toy_fig1", "ant_n36"])
-def test_sharded_counts_match_golden(
-    golden, golden_datasets, dataset_name, scheduler_name
-):
-    """Question/HIT counts are pinned for the sharded machine phase
-    too, not just skyline membership (docs/sharding.md)."""
-    key = f"{dataset_name}/{scheduler_name}@shards{GOLDEN_SHARDS}"
-    assert key in golden, f"missing golden case {key} — run `make regen-golden`"
-    relation = golden_datasets[dataset_name]
-    for backend in BACKENDS:
-        actual = run_case(
-            relation, scheduler_name, backend, shards=GOLDEN_SHARDS
-        )
-        assert actual == golden[key][backend], (
-            f"drift in {key} [{backend}] — if intentional, run `make "
-            f"regen-golden` and commit the updated fixture"
-        )
-
-
 @pytest.mark.parametrize("key", sorted(EXTRA_CASES))
 def test_extra_cases_match_golden(golden, golden_datasets, key):
     """Budgets, pruning levels, m-ary probing, round robin and noisy or
@@ -115,13 +94,3 @@ def test_golden_backends_agree(golden):
             assert per_backend[backend] == per_backend["reference"], (
                 f"{key} [{backend}]"
             )
-
-
-def test_golden_sharded_equals_serial(golden):
-    """The committed fixture itself must be shard-consistent: every
-    ``@shards`` entry equals its serial counterpart byte-for-byte."""
-    sharded_keys = [key for key in golden if "@shards" in key]
-    assert sharded_keys, "no sharded cases — run `make regen-golden`"
-    for key in sharded_keys:
-        serial_key = key.split("@", 1)[0]
-        assert golden[key] == golden[serial_key], key

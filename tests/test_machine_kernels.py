@@ -32,7 +32,7 @@ from repro.skyline.dominating import (
     packed_bool_rows,
 )
 from repro.skyline.layers import covering_graph_from_matrix
-from repro.skyline.sharded import local_skyline_mask, sharded_dominance_matrix
+from repro.skyline.sharded import local_skyline_mask
 from tests.conftest import make_relation
 from tests.strategies import known_matrices
 
@@ -103,7 +103,6 @@ def assert_kernels_match(data, removed=(), block=512):
     assert np.array_equal(
         local_skyline_mask(data, block_size=block)[0], ~matrix.any(axis=0)
     )
-    assert np.array_equal(sharded_dominance_matrix(data, 3), matrix)
     with blocks_of(block):
         assert covering_graph_from_matrix(matrix) == spec_covering_graph(
             matrix

@@ -395,20 +395,15 @@ class TestLogging:
 
     def test_configure_logging_idempotent(self):
         logger = logging.getLogger("repro")
-        before = list(logger.handlers)
-        try:
-            configure_logging(logging.INFO)
-            configure_logging(logging.DEBUG)
-            streams = [
-                h for h in logger.handlers
-                if isinstance(h, logging.StreamHandler)
-                and not isinstance(h, logging.NullHandler)
-            ]
-            assert len(streams) == 1
-            assert logger.level == logging.DEBUG
-        finally:
-            logger.handlers = before
-            logger.setLevel(logging.NOTSET)
+        configure_logging(logging.INFO)
+        configure_logging(logging.DEBUG)
+        streams = [
+            h for h in logger.handlers
+            if isinstance(h, logging.StreamHandler)
+            and not isinstance(h, logging.NullHandler)
+        ]
+        assert len(streams) == 1
+        assert logger.level == logging.DEBUG
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,16 @@ state an ill-timed ``kill -9`` leaves behind, since the writer fsyncs
 record groups in order.
 
 Also covered: pure replay (zero fresh questions, enforced by
-raising), the relation fingerprint guard, header-less journals, and
-hand-built crowds that need an explicit equivalent platform.
+raising), the relation fingerprint guard, header-less journals,
+hand-built crowds that need an explicit equivalent platform, and
+recorded journals whose headers hold config keys the config no longer
+has.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +203,47 @@ def test_torn_mid_record_crashes_resume_byte_identical(tmp_path):
         resumed = resume_run(crashed, relation)
         assert_same_result(resumed, baseline)
         assert journal_bytes(crashed) == raw
+
+
+# -- headers with removed config keys ---------------------------------------
+
+#: Journals of the ``noisy`` scenario's crowd, recorded while
+#: ``CrowdSkyConfig`` still had ``shards``, ``shard_jobs`` and
+#: ``shard_partitioner`` fields, by name: the header config those keys
+#: held.
+SHARD_KEY_JOURNALS = {
+    "serial": {"shards": 1, "shard_jobs": 1, "shard_partitioner": "range"},
+    "shards3_hash": {
+        "shards": 3, "shard_jobs": 1, "shard_partitioner": "hash",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARD_KEY_JOURNALS))
+def test_header_with_shard_keys_resumes_byte_identical(tmp_path, name):
+    """The shard keys named a second way to build the same dominance
+    matrix, so a journal that holds them, torn mid-record, resumes to
+    the run the code makes uninterrupted today and continues to the
+    recorded bytes; only the header differs from a fresh journal."""
+    raw = (
+        Path(__file__).parent / "fixtures" / "shard_key_journals"
+        / f"{name}.jsonl"
+    ).read_bytes()
+    header, records = raw.split(b"\n", 1)
+    config = json.loads(header)["data"]["run"]["config"]
+    assert {key: config[key] for key in SHARD_KEY_JOURNALS[name]} == (
+        SHARD_KEY_JOURNALS[name]
+    )
+    relation, baseline = run_scenario("noisy", tmp_path / "fresh")
+    assert journal_bytes(tmp_path / "fresh").split(b"\n", 1)[1] == records
+    boundaries = record_boundaries(raw)
+    for index, boundary in enumerate(
+        [boundaries[0], boundaries[len(boundaries) // 2], boundaries[-2]]
+    ):
+        crashed = crash_at(tmp_path, f"torn{index}", raw, boundary + 11)
+        resumed = resume_run(crashed, relation)
+        assert_same_result(resumed, baseline)
+        assert journal_bytes(crashed) == raw, f"cut {index}"
 
 
 # -- pure replay -------------------------------------------------------------
