@@ -129,21 +129,27 @@ examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f; echo; done
 
 # Record a small traced IND run, then validate the JSONL trace against
-# the event schema and cross-check it against the metrics dump. Runs
-# with REPRO_OBS_STRICT=1 so an unregistered event name fails at
-# emission time instead of at validation time.
+# the event schema and check that the metrics dump holds exactly the
+# metrics the trace folds to. Then the same across two worker
+# processes, whose events the parent absorbs. Runs with
+# REPRO_OBS_STRICT=1 so an unregistered event name fails at emission
+# time instead of at validation time.
 trace-demo:
 	REPRO_OBS_STRICT=1 python -m repro.experiments run fig6a --scale smoke --no-cache \
 		--trace trace-demo.jsonl --metrics trace-demo.prom
 	python -m repro.experiments trace validate trace-demo.jsonl \
 		--metrics trace-demo.prom
 	python -m repro.experiments trace summarize trace-demo.jsonl
+	REPRO_OBS_STRICT=1 python -m repro.experiments run fig6a --scale smoke --no-cache \
+		--jobs 2 --trace trace-demo-jobs2.jsonl --metrics trace-demo-jobs2.prom
+	python -m repro.experiments trace validate trace-demo-jobs2.jsonl \
+		--metrics trace-demo-jobs2.prom
 
 # Record a traced run into a scratch directory and assemble the
-# RunReport artifact (report.json + report.md) from it.
+# RunReport artifact (report.json + report.md) from its trace alone.
 report-demo:
 	mkdir -p report-demo
 	python -m repro.experiments run fig6a --scale smoke --no-cache \
-		--trace report-demo/trace.jsonl --metrics report-demo/metrics.prom
+		--trace report-demo/trace.jsonl
 	python -m repro.experiments report report-demo
 	@echo "see report-demo/report.md"

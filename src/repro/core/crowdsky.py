@@ -50,11 +50,6 @@ from repro.questions import Preference
 from repro.data.relation import Relation
 from repro.exceptions import BudgetExhaustedError, CrowdSkyError
 from repro.obs import current_observation, phase, run_span
-from repro.obs.metrics import (
-    CLOSURE_UPDATES,
-    PREF_CACHE_HITS,
-    TUPLES_EVALUATED,
-)
 
 
 class PruningLevel(enum.Enum):
@@ -254,17 +249,17 @@ class Evaluation:
         return tasks
 
     def decide(self, t: int, outcome: TaskOutcome) -> None:
-        """Record ``t`` as complete with ``outcome``; counted and traced
-        when observing."""
+        """Record ``t`` as complete with ``outcome``; traced when
+        observing."""
         if outcome is TaskOutcome.SKYLINE:
             self.skyline.add(t)
             self._add_row(t)
         self.complete.add(t)
         observation = self._observation
         if observation is not None:
-            value = outcome.value
-            observation.metrics.counter(TUPLES_EVALUATED, outcome=value).inc()
-            observation.tracer.event("engine.tuple", t=t, outcome=value)
+            observation.tracer.event(
+                "engine.tuple", t=t, outcome=outcome.value
+            )
 
     def _add_row(self, t: int) -> None:
         """Insert skyline tuple ``t`` into P1's rows at its rank."""
@@ -320,20 +315,16 @@ class Evaluation:
         context = self.context
         crowd = context.crowd
         # The closure's memo-hit and update tallies are cumulative, so
-        # they are exported once per run, here, off the hot path.
+        # they are traced once per run, here, off the hot path.
         prefs = context.prefs
         observation = current_observation()
         if observation.enabled:
-            metrics = observation.metrics
-            if prefs.cache_hits:
-                metrics.counter(PREF_CACHE_HITS, backend=prefs.backend).inc(
-                    prefs.cache_hits
-                )
-            updates = prefs.closure_updates()
-            if updates:
-                metrics.counter(CLOSURE_UPDATES, backend=prefs.backend).inc(
-                    updates
-                )
+            observation.tracer.event(
+                "pref.totals",
+                backend=prefs.backend,
+                cache_hits=prefs.cache_hits,
+                closure_updates=prefs.closure_updates(),
+            )
         stopped = bool(budget_exhausted)
         return CrowdSkylineResult(
             skyline=self.skyline,

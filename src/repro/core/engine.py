@@ -27,7 +27,6 @@ from repro.questions import (
 from repro.data.relation import Relation, relation_fingerprint
 from repro.exceptions import CrowdSkyError
 from repro.obs import NOOP_TRACER, current_observation, phase
-from repro.obs.metrics import QUESTIONS_SAVED_TRANSITIVITY
 # Unused here: ``dominating_sets`` stays bound only because
 # perfbench/layers.py wraps it by name.
 from repro.skyline.dominating import FrequencyOracle, dominating_sets
@@ -415,14 +414,13 @@ def ask_batch(context: ExecutionContext, requests: Iterable[Request]) -> None:
                 PairwiseQuestion(request.left, request.right, attribute)
             )
     observation = current_observation()
-    if observation.enabled and saved:
-        observation.metrics.counter(QUESTIONS_SAVED_TRANSITIVITY).inc(saved)
     if observation.enabled and (questions or multiway):
         observation.tracer.event(
             "engine.batch",
             pairs=len(pair_requests),
             multiway=len(multiway),
             questions=len(questions),
+            saved=saved,
         )
     spans = observation.tracer if observation.enabled else NOOP_TRACER
     if context.ac_round_robin and len(pair_requests) == 1:

@@ -54,7 +54,6 @@ import numpy as np
 from repro.questions import Preference
 from repro.exceptions import CrowdSkyError, PreferenceConflictError
 from repro.obs import current_observation
-from repro.obs.metrics import CLOSURE_BATCH_SIZE
 
 #: Environment variable selecting the default preference backend.
 BACKEND_ENV_VAR = "REPRO_PREF_BACKEND"
@@ -681,9 +680,9 @@ class PreferenceSystem:
         :attr:`ContradictionPolicy.KEEP_FIRST` acceptance is
         order-sensitive, so the transaction never reorders answers; what
         it batches is everything *around* the per-edge closure update:
-        one ``pref.apply_verdicts`` span, one
-        ``crowdsky_closure_batch_size`` histogram observation and one
-        ``pref.batch`` trace event per round instead of per answer.
+        one ``pref.apply_verdicts`` span and one ``pref.batch`` trace
+        event (which folds into the ``crowdsky_closure_batch_size``
+        histogram) per round instead of per answer.
 
         Returns the number of accepted (non-contradicting) verdicts.
         """
@@ -703,9 +702,6 @@ class PreferenceSystem:
                 verdicts=len(verdicts),
                 accepted=accepted,
                 backend=self.backend,
-            )
-            observation.metrics.histogram(CLOSURE_BATCH_SIZE).observe(
-                len(verdicts)
             )
         else:
             accepted = self._apply_verdicts(verdicts)

@@ -60,7 +60,6 @@ from repro.exceptions import JournalError, JournalReplayError
 from repro.io.atomic import atomic_write_bytes, fsync_dir
 from repro.obs import current_observation
 from repro.obs.logging import get_logger
-from repro.obs.metrics import JOURNAL_FSYNC_SECONDS, LATENCY_BUCKETS_S
 from repro.questions import Preference
 
 #: Bump when the record layout changes (refuses to resume across).
@@ -566,12 +565,9 @@ class JournalWriter:
     def _sync(self) -> None:
         observation = current_observation()
         if observation.enabled:
-            with observation.tracer.span("journal.fsync") as span:
+            with observation.tracer.span("journal.fsync"):
                 self._handle.flush()
                 os.fsync(self._handle.fileno())
-            observation.metrics.histogram(
-                JOURNAL_FSYNC_SECONDS, buckets=LATENCY_BUCKETS_S
-            ).observe(span.duration_s or 0.0)
             return
         self._handle.flush()
         os.fsync(self._handle.fileno())

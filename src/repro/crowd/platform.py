@@ -27,14 +27,15 @@ marked **unresolved** and the schedulers degrade gracefully (see
 fully (stats, ledger, cache, log) or not at all.
 
 One record per posting: each executed posting is committed once, as
-its cost record (``cost_records``), and ``CrowdStats``, the counters,
-the ``crowd.round`` event and the HIT ledger are all derived from that
+its cost record (``cost_records``), and ``CrowdStats``, the
+``crowd.round`` event and the HIT ledger are all derived from that
 record at that one site. When a :func:`repro.obs.observe` scope is
 active the platform also emits structured trace events (one per round,
-batch, vote, fault, retry, budget decision and unresolved question) and
-counter increments into the observation's registry. With observability
-off, no registry is touched and the hooks cost one ``enabled`` check
-per site.
+batch, vote, fault, degraded answer, retry, backoff, missed deadline,
+budget decision, unresolved question, journal append and replayed
+posting); the metrics are a fold of those events
+(:func:`repro.obs.metrics.metrics_from_events`). With observability
+off, the hooks cost one ``enabled`` check per site.
 """
 
 from __future__ import annotations
@@ -58,22 +59,6 @@ from repro.crowd.journal import JournalWriter
 from repro.crowd.oracle import GroundTruthOracle
 from repro.obs import current_observation
 from repro.obs.logging import get_logger
-from repro.obs.metrics import (
-    BACKOFF_ROUNDS,
-    BUDGET_DENIALS,
-    CACHE_HITS,
-    DEGRADED_ANSWERS,
-    FAULTS_INJECTED,
-    JOURNAL_RECORDS,
-    QUESTIONS_ASKED,
-    REPLAYED_POSTINGS,
-    RETRIES,
-    ROUND_SIZE,
-    ROUNDS,
-    TIMEOUTS,
-    UNRESOLVED_QUESTIONS,
-    WORKER_ASSIGNMENTS,
-)
 from repro.obs.report import (
     DEFAULT_OMEGA,
     DEFAULT_PRICE,
@@ -413,11 +398,11 @@ class SimulatedCrowd:
 
         Builds the posting's cost record and derives the rest from it:
         ``CrowdStats`` (a new round, or for a merged m-ary posting an
-        addition to the previous one), the round counters and size
-        histogram, the ``crowd.round`` / ``crowd.round_merged`` event
-        and the HIT ledger. ``round`` is the committed round index; a
-        merged posting shares its predecessor's, which is how
-        :meth:`CrowdStats.hit_cost` sizes its HITs.
+        addition to the previous one), the ``crowd.round`` /
+        ``crowd.round_merged`` event and the HIT ledger. ``round`` is
+        the committed round index; a merged posting shares its
+        predecessor's, which is how :meth:`CrowdStats.hit_cost` sizes
+        its HITs.
         """
         stats = self.stats
         record = {
@@ -439,13 +424,6 @@ class SimulatedCrowd:
             stats.record_round(questions, assignments, retried=retried)
         observation = current_observation()
         if observation.enabled:
-            metrics = observation.metrics
-            if not merged:
-                metrics.counter(ROUNDS).inc()
-                metrics.histogram(ROUND_SIZE).observe(questions)
-            metrics.counter(QUESTIONS_ASKED).inc(questions)
-            if assignments:
-                metrics.counter(WORKER_ASSIGNMENTS).inc(assignments)
             observation.tracer.event(
                 "crowd.round_merged" if merged else "crowd.round",
                 round=record["round"],
@@ -467,9 +445,6 @@ class SimulatedCrowd:
         self.stats.unresolved_questions += 1
         observation = current_observation()
         if observation.enabled:
-            observation.metrics.counter(
-                UNRESOLVED_QUESTIONS, reason=reason
-            ).inc()
             observation.tracer.event(
                 "crowd.unresolved", question=list(key), reason=reason
             )
@@ -513,7 +488,6 @@ class SimulatedCrowd:
             return keys
         observation = current_observation()
         if observation.enabled:
-            observation.metrics.counter(BUDGET_DENIALS).inc()
             observation.tracer.event(
                 "crowd.budget",
                 budget=budget,
@@ -559,9 +533,10 @@ class SimulatedCrowd:
         them all); each question's key is computed here, once. The
         fresh keys — neither answered nor given up on — pass the budget
         (:meth:`_admit`); the keys in ``answered`` are served from the
-        cache and counted only after that, so a strict refusal leaves
-        the stats untouched. Returns the unique questions by key and
-        the fresh keys to post.
+        cache and counted, and the ``crowd.batch`` event emitted, only
+        after that, so a strict refusal leaves the stats and the trace
+        untouched. Returns the unique questions by key and the fresh
+        keys to post.
         """
         unique: Dict[TupleT, Any] = {}
         for question in questions:
@@ -574,6 +549,7 @@ class SimulatedCrowd:
                 cached += 1
             elif key not in unresolved:
                 fresh.append(key)
+        admitted = self._admit(fresh)
         observation = current_observation()
         if observation.enabled and unique:
             observation.tracer.event(
@@ -583,12 +559,8 @@ class SimulatedCrowd:
                 cached=cached,
                 format=format,
             )
-        fresh = self._admit(fresh)
-        if cached:
-            self.stats.cached_hits += cached
-            if observation.enabled:
-                observation.metrics.counter(CACHE_HITS).inc(cached)
-        return unique, fresh
+        self.stats.cached_hits += cached
+        return unique, admitted
 
     def _post(
         self,
@@ -607,7 +579,7 @@ class SimulatedCrowd:
         journal (and are fsynced) before the caller commits its results
         to the platform, so a crash mid-commit re-executes the round
         from the journal instead of losing it. Replayed postings are
-        already journaled — they only count toward the replay metric.
+        already journaled — they only emit ``crowd.replayed``.
         """
         posted = [unique[key] for key in keys]
         observation = current_observation()
@@ -620,7 +592,7 @@ class SimulatedCrowd:
             outcomes = ask(posted)
         if self._backend.last_was_replay:
             if observation.enabled:
-                observation.metrics.counter(REPLAYED_POSTINGS).inc()
+                observation.tracer.event("crowd.replayed")
         elif self._journal is not None:
             written = self._journal.append_posting(
                 format=format,
@@ -632,7 +604,7 @@ class SimulatedCrowd:
                 omega=omega,
             )
             if observation.enabled:
-                observation.metrics.counter(JOURNAL_RECORDS).inc(written)
+                observation.tracer.event("journal.append", records=written)
         return outcomes
 
     def _post_pairwise(
@@ -680,10 +652,9 @@ class SimulatedCrowd:
             if observation.enabled:
                 trace = observation.tracer
                 if fault is not None:
-                    observation.metrics.counter(
-                        FAULTS_INJECTED, kind=fault
-                    ).inc()
                     trace.event("crowd.fault", question=list(key), fault=fault)
+                elif outcome.degraded:
+                    trace.event("crowd.degraded", question=list(key))
                 if outcome.status == STATUS_ANSWERED:
                     for vote in outcome.votes:
                         trace.event(
@@ -693,11 +664,6 @@ class SimulatedCrowd:
         stats.abandoned_assignments += abandoned
         stats.timeouts += timeouts
         stats.degraded_answers += degraded
-        if observation.enabled:
-            if timeouts:
-                observation.metrics.counter(TIMEOUTS).inc(timeouts)
-            if degraded:
-                observation.metrics.counter(DEGRADED_ANSWERS).inc(degraded)
         self._commit(
             "pairwise", len(keys), assignments,
             retried=retried, faults=len(failures),
@@ -755,7 +721,9 @@ class SimulatedCrowd:
             if self._retry.past_deadline(waited[key] + round_backoff):
                 self.stats.timeouts += 1
                 if observation.enabled:
-                    observation.metrics.counter(TIMEOUTS).inc()
+                    observation.tracer.event(
+                        "crowd.deadline", question=list(key)
+                    )
                 if self.strict:
                     raise QuestionTimeoutError(
                         f"question {key} missed its "
@@ -766,7 +734,6 @@ class SimulatedCrowd:
             waited[key] += round_backoff
             self.stats.retries += 1
             if observation.enabled:
-                observation.metrics.counter(RETRIES).inc()
                 observation.tracer.event(
                     "crowd.retry",
                     question=list(key),
@@ -781,7 +748,7 @@ class SimulatedCrowd:
         if survivors and round_backoff:
             self.stats.backoff_rounds += round_backoff
             if observation.enabled:
-                observation.metrics.counter(BACKOFF_ROUNDS).inc(round_backoff)
+                observation.tracer.event("crowd.backoff", rounds=round_backoff)
             if self._ledger is not None:
                 self._ledger.record_backoff(round_backoff)
         return survivors
@@ -831,13 +798,6 @@ class SimulatedCrowd:
         Returns None only when the platform has permanently given up on
         the question (non-strict fault/budget degradation).
         """
-        cached = self.cached_answer(question)
-        if cached is not None:
-            self.stats.cached_hits += 1
-            observation = current_observation()
-            if observation.enabled:
-                observation.metrics.counter(CACHE_HITS).inc()
-            return cached
         self.ask_pairwise_round([question])
         answer = self.cached_answer(question)
         if answer is None and question.key() not in self._unresolved:

@@ -15,7 +15,7 @@ Subcommands::
     crowdsky resume j/ --dataset toy  # continue an interrupted run
     crowdsky resume j/ --dataset toy --replay             # free re-run
     crowdsky report runs/exp1/        # RunReport (JSON+Markdown) from
-                                      # the trace/metrics in a directory
+                                      # the trace in a directory
     crowdsky bench --suite smoke      # append a benchmark-trajectory
                                       # record; --check gates on the
                                       # committed baseline
@@ -191,23 +191,22 @@ def _run_skyline(args) -> int:
 
 
 def _find_run_inputs(directory):
-    """Locate the trace (required), metrics dump and journal of a run
-    directory for ``crowdsky report``: the first ``*.jsonl`` that
-    validates as a trace, the first ``*.prom``, and a nested journal
-    directory containing ``wal-*`` segments (or the directory itself)."""
+    """Locate the trace (required) and journal of a run directory for
+    ``crowdsky report``: the first ``*.jsonl`` that is not a journal
+    segment, and a nested journal directory containing ``wal-*``
+    segments (or the directory itself)."""
     from pathlib import Path
 
     from repro.crowd.journal import segment_paths
 
     root = Path(directory)
     if root.is_file():
-        return root, None, None
+        return root, None
     traces = [
         path
         for path in sorted(root.glob("*.jsonl"))
         if not path.name.startswith("wal-")
     ]
-    metrics = sorted(root.glob("*.prom"))
     journal = None
     if segment_paths(root):
         journal = root
@@ -216,11 +215,7 @@ def _find_run_inputs(directory):
             if child.is_dir() and segment_paths(child):
                 journal = child
                 break
-    return (
-        traces[0] if traces else None,
-        metrics[0] if metrics else None,
-        journal,
-    )
+    return traces[0] if traces else None, journal
 
 
 def _journal_stats(directory) -> dict:
@@ -243,10 +238,9 @@ def _journal_stats(directory) -> dict:
 
 def _run_report(args) -> int:
     """Execute ``crowdsky report``: assemble a RunReport artifact."""
-    from repro.obs.exporters import parse_prometheus_text
     from repro.obs.report import build_run_report, write_run_report
 
-    trace_path, metrics_path, journal_dir = _find_run_inputs(args.run)
+    trace_path, journal_dir = _find_run_inputs(args.run)
     if args.journal is not None:
         journal_dir = args.journal
     if trace_path is None:
@@ -255,14 +249,9 @@ def _run_report(args) -> int:
         )
         return 2
     events = read_trace_jsonl(trace_path)
-    metrics = None
-    if metrics_path is not None:
-        with open(metrics_path) as handle:
-            metrics = parse_prometheus_text(handle.read())
     journal = _journal_stats(journal_dir) if journal_dir else None
     report = build_run_report(
         events,
-        metrics=metrics,
         journal=journal,
         meta={"trace": str(trace_path), "run": str(args.run)},
     )
@@ -395,7 +384,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--metrics",
         metavar="PATH",
         default=None,
-        help="also cross-check against a Prometheus metrics dump",
+        help=(
+            "also check that a Prometheus metrics dump holds exactly "
+            "the metrics the trace folds to"
+        ),
     )
 
     skyline = subparsers.add_parser(
@@ -471,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "report",
         help=(
             "assemble a RunReport (JSON + Markdown) from a run "
-            "directory's trace/metrics/journal"
+            "directory's trace and journal"
         ),
     )
     report.add_argument(

@@ -27,17 +27,18 @@ column and Figure 6(b)'s default-``|AK|`` column) share cache entries.
 The default cache directory is ``$REPRO_SWEEP_CACHE_DIR`` or
 ``~/.cache/crowdsky/sweeps``.
 
-**Observability.** Worker processes cannot feed the parent's
-:class:`~repro.obs.MetricsRegistry` directly; when a global observation
-is installed, each worker records its cell under a private observation
-and ships the metrics dump and trace events back with the payload. The
-parent absorbs both (:meth:`MetricsRegistry.absorb` /
-:meth:`Tracer.absorb`), so ``--trace`` / ``--metrics`` output stays
-complete under parallel execution. Cache hits emit a single
-``sweep.cached`` trace event and count toward
-``crowdsky_sweep_cells_total{status="cached"}`` — the crowd work they
-skipped is *not* re-emitted, keeping traces and metric dumps mutually
-consistent.
+**Observability.** Worker processes cannot trace into the parent's
+observation directly; when a global observation is installed, each
+worker records its cell under a private observation and ships its trace
+events back with the payload. The parent absorbs them
+(:meth:`~repro.obs.Tracer.absorb`), and absorbed spans keep their
+recorded durations, so the trace of a ``--jobs N`` run folds to its
+metrics (:func:`~repro.obs.metrics.metrics_from_events`) exactly as a
+serial one does. Executed cells are ``sweep.cell`` spans and fold into
+``crowdsky_sweep_cells_total{status="computed"}``. Cache hits emit a
+single ``sweep.cached`` trace event (``status="cached"``) — the crowd
+work they skipped is *not* re-emitted, so the trace and its metrics
+report what this run did.
 """
 
 from __future__ import annotations
@@ -63,11 +64,6 @@ from typing import (
 from repro.exceptions import ExperimentError
 from repro.io.atomic import atomic_write_text
 from repro.obs import Observation, current_observation, install, uninstall
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_S,
-    SWEEP_CACHE_LOOKUP_SECONDS,
-    SWEEP_CELLS,
-)
 
 #: Bump when the cache entry layout changes (invalidates all entries).
 CACHE_VERSION = 1
@@ -222,8 +218,8 @@ class SweepCache:
         """``(hit, payload)`` for the cell; heals corrupted entries.
 
         Under an active observation each lookup is one
-        ``sweep.cache_get`` span and one latency-histogram observation
-        labelled by its outcome (hit / miss / corrupt).
+        ``sweep.cache_get`` span whose ``status`` attribute is its
+        outcome (hit / miss / corrupt), set before the span closes.
         """
         observation = current_observation()
         if not observation.enabled:
@@ -231,17 +227,11 @@ class SweepCache:
         corrupt_before = self.stats.corrupt
         with observation.tracer.span("sweep.cache_get") as span:
             hit, payload = self._get(cell)
-        if hit:
-            status = "hit"
-        elif self.stats.corrupt > corrupt_before:
-            status = "corrupt"
-        else:
-            status = "miss"
-        observation.metrics.histogram(
-            SWEEP_CACHE_LOOKUP_SECONDS,
-            buckets=LATENCY_BUCKETS_S,
-            status=status,
-        ).observe(span.duration_s or 0.0)
+            span.attrs["status"] = (
+                "hit" if hit
+                else "corrupt" if self.stats.corrupt > corrupt_before
+                else "miss"
+            )
         return hit, payload
 
     def _get(self, cell: Cell) -> Tuple[bool, Any]:
@@ -274,18 +264,13 @@ class SweepCache:
 
     def put(self, cell: Cell, payload: Any) -> None:
         """Persist one finished cell atomically (one ``sweep.cache_put``
-        span + ``status="store"`` latency observation when traced)."""
+        span with ``status="store"`` when traced)."""
         observation = current_observation()
         if not observation.enabled:
             self._put(cell, payload)
             return
-        with observation.tracer.span("sweep.cache_put") as span:
+        with observation.tracer.span("sweep.cache_put", status="store"):
             self._put(cell, payload)
-        observation.metrics.histogram(
-            SWEEP_CACHE_LOOKUP_SECONDS,
-            buckets=LATENCY_BUCKETS_S,
-            status="store",
-        ).observe(span.duration_s or 0.0)
 
     def _put(self, cell: Cell, payload: Any) -> None:
         path = self.entry_path(cell)
@@ -337,8 +322,8 @@ def _execute_cell_captured(cell: Cell):
     """Worker-side cell execution with private observability capture.
 
     Runs in the pool worker. The cell executes under a fresh
-    :class:`Observation`; its metrics dump and trace events travel back
-    with the payload for the parent to absorb.
+    :class:`Observation`; its trace events travel back with the payload
+    for the parent to absorb.
     """
     observation = Observation()
     install(observation)
@@ -349,12 +334,12 @@ def _execute_cell_captured(cell: Cell):
             payload = cell.run()
     finally:
         uninstall(observation)
-    return payload, observation.metrics.dump(), observation.tracer.events
+    return payload, observation.tracer.events
 
 
 def _execute_cell_bare(cell: Cell):
     """Worker-side cell execution without capture (observability off)."""
-    return cell.run(), None, None
+    return cell.run(), None
 
 
 def run_cells(
@@ -392,9 +377,6 @@ def run_cells(
                 observation.tracer.event(
                     "sweep.cached", id=cell.experiment_id, seed=cell.seed
                 )
-                observation.metrics.counter(
-                    SWEEP_CELLS, status="cached"
-                ).inc()
         else:
             pending.append(cell)
 
@@ -418,8 +400,8 @@ def run_cells(
     else:
         executed = {}
         for cell in pending:
-            # In-process: events and metrics flow natively into the
-            # caller's observation; only the span wrapper is added.
+            # In-process: events flow natively into the caller's
+            # observation; only the span wrapper is added.
             if observation.enabled:
                 with observation.tracer.span(
                     "sweep.cell", id=cell.experiment_id, seed=cell.seed
@@ -427,18 +409,12 @@ def run_cells(
                     payload = cell.run()
             else:
                 payload = cell.run()
-            executed[cell] = (payload, None, None)
+            executed[cell] = (payload, None)
 
     for cell in pending:  # plan order, not completion order
-        payload, metrics_dump, events = executed[cell]
-        if observation.enabled:
-            if metrics_dump:
-                observation.metrics.absorb(metrics_dump)
-            if events:
-                observation.tracer.absorb(events)
-            observation.metrics.counter(
-                SWEEP_CELLS, status="computed"
-            ).inc()
+        payload, events = executed[cell]
+        if events:
+            observation.tracer.absorb(events)
         if store is not None:
             store.put(cell, payload)
         results[cell] = payload

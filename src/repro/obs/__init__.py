@@ -5,9 +5,11 @@ The observability layer turns every run into an analyzable artifact:
 * :class:`~repro.obs.tracer.Tracer` records structured events and
   nestable spans (one event per round, batch, vote, retry, fault and
   budget decision),
-* :class:`~repro.obs.metrics.MetricsRegistry` accumulates the paper's
-  headline metrics (questions, rounds, cache hits, unresolved pairs,
-  per-phase wall time) as counters/gauges/histograms,
+* :func:`~repro.obs.metrics.metrics_from_events` folds those records
+  into the paper's headline metrics (questions, rounds, cache hits,
+  unresolved pairs, per-phase wall time) as the counters, gauges and
+  histograms of a :class:`~repro.obs.metrics.MetricsRegistry`. The
+  trace is the one record: metrics are never written beside it,
 * exporters persist JSONL traces and Prometheus text dumps
   (:mod:`repro.obs.exporters`), validated against the event schema
   (:mod:`repro.obs.schema`); :mod:`repro.obs.report` summarizes a
@@ -15,11 +17,10 @@ The observability layer turns every run into an analyzable artifact:
 
 **Cost model.** Observability is off by default: the globally installed
 observation is a no-op singleton and every instrumentation site guards
-with ``observation.enabled`` — one attribute read on the hot path. The
-active observation's registry is the only one: with observability off
-no registry exists, and results report from the platform's own
-accounting (``CrowdStats`` and the per-posting cost records), which is
-on regardless of the switch.
+with ``observation.enabled`` — one attribute read on the hot path. With
+observability off no trace is recorded and no registry exists; results
+report from the platform's own accounting (``CrowdStats`` and the
+per-posting cost records), which is on regardless of the switch.
 
 Usage::
 
@@ -47,14 +48,11 @@ from repro.obs.exporters import (
     write_trace_jsonl,
 )
 from repro.obs.metrics import (
-    MEAN_VOTES_PER_QUESTION,
-    PHASE_SECONDS,
-    QUESTIONS_ASKED,
-    WORKER_ASSIGNMENTS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    metrics_from_events,
 )
 from repro.obs.perf import (
     machine_fingerprint,
@@ -84,6 +82,7 @@ __all__ = [
     "build_run_report",
     "current_observation",
     "machine_fingerprint",
+    "metrics_from_events",
     "observe",
     "parse_prometheus_text",
     "phase",
@@ -102,7 +101,7 @@ __all__ = [
 
 
 class Observation:
-    """A live tracer + aggregate metrics registry, installed for a scope.
+    """A live tracer, installed for a scope, and the metrics it folds to.
 
     Instrumented code reaches the active observation through
     :func:`current_observation`; when none is installed the no-op
@@ -114,22 +113,18 @@ class Observation:
 
     def __init__(self) -> None:
         self.tracer = Tracer()
-        self.metrics = MetricsRegistry()
 
-    def finalize(self) -> None:
-        """Compute derived gauges (called before export)."""
-        questions = self.metrics.total(QUESTIONS_ASKED)
-        if questions:
-            assignments = self.metrics.total(WORKER_ASSIGNMENTS)
-            self.metrics.gauge(MEAN_VOTES_PER_QUESTION).set(
-                assignments / questions
-            )
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The metrics of everything traced so far: a fresh
+        :func:`~repro.obs.metrics.metrics_from_events` fold of the
+        tracer's events on each read."""
+        return metrics_from_events(self.tracer.events)
 
 
 class _NoOpObservation:
-    """Disabled observation; ``metrics`` is deliberately ``None`` so an
-    unguarded emission fails loudly instead of leaking into a shared
-    registry."""
+    """Disabled observation: nothing is traced, so ``metrics`` is
+    ``None`` rather than an empty fold."""
 
     enabled = False
     tracer = NOOP_TRACER
@@ -166,9 +161,9 @@ def observe(
 ) -> Iterator[Observation]:
     """Install a fresh observation for the ``with`` block.
 
-    On exit, derived gauges are finalized and — when paths are given —
-    the JSONL trace and/or Prometheus metrics dump are written even if
-    the block raised (partial runs are still analyzable).
+    On exit — when paths are given — the JSONL trace and/or the
+    Prometheus dump of its metrics are written even if the block raised
+    (partial runs are still analyzable).
     """
     observation = Observation()
     install(observation)
@@ -176,7 +171,6 @@ def observe(
         yield observation
     finally:
         uninstall(observation)
-        observation.finalize()
         if trace_path is not None:
             write_trace_jsonl(observation.tracer.events, trace_path)
         if metrics_path is not None:
@@ -185,11 +179,10 @@ def observe(
 
 @contextmanager
 def phase(name: str) -> Iterator[Optional[Span]]:
-    """Trace one named phase and account its wall time.
+    """Trace one named phase as a ``phase.<name>`` span.
 
-    Yields the live span (or ``None`` when observability is off); on
-    exit the duration feeds the ``crowdsky_phase_seconds_total{phase=}``
-    counter of the active observation.
+    Yields the live span (or ``None`` when observability is off); its
+    duration folds into ``crowdsky_phase_seconds_total{phase=}``.
     """
     observation = current_observation()
     if not observation.enabled:
@@ -197,9 +190,6 @@ def phase(name: str) -> Iterator[Optional[Span]]:
         return
     with observation.tracer.span(f"phase.{name}") as span:
         yield span
-    observation.metrics.counter(PHASE_SECONDS, phase=name).inc(
-        span.duration_s or 0.0
-    )
 
 
 @contextmanager

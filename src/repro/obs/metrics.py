@@ -1,24 +1,25 @@
-"""Metrics registry: counters, gauges and fixed-bucket histograms.
+"""Metrics: canonical names, a registry, and the fold that fills it.
+
+Every metric is a fold of trace records. :func:`metrics_from_events` is
+the one code that writes series, and :attr:`repro.obs.Observation.metrics`
+is that fold over the observation's events, so the metrics of a run and
+its trace cannot disagree. Emitters only emit events and spans; which
+record a series counts is decided here, once.
 
 The registry holds *series* keyed by ``(metric name, sorted labels)``.
-Series are created on first touch and accumulate for the registry's
-lifetime; export with :meth:`MetricsRegistry.to_prometheus` or
-:meth:`MetricsRegistry.snapshot`.
-
-One registry exists per observed scope: the globally installed
-:class:`~repro.obs.Observation` (when tracing is on) receives every
-increment, aggregated across every run in its scope — it is what
-``--metrics`` exports. With observability off no registry is built;
+Series are created on first touch; export with
+:meth:`MetricsRegistry.to_prometheus` or :meth:`MetricsRegistry.snapshot`.
+With observability off no trace is recorded and no registry is built;
 :class:`~repro.core.result.CrowdSkylineResult` reports from the
-platform's ``CrowdStats`` and cost records, which the counters mirror.
+platform's ``CrowdStats`` and cost records.
 
 The module also fixes the canonical metric names (the paper's headline
-quantities) so emitters, exporters and tests never spell them ad hoc.
+quantities) so the fold, exporters and tests never spell them ad hoc.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Tuple
 
 from repro.exceptions import ObservabilityError
 
@@ -165,7 +166,7 @@ class Counter:
 
 
 class Gauge:
-    """Value that can go up and down (or be set outright)."""
+    """Value set outright (a ratio derived from other series)."""
 
     kind = "gauge"
     __slots__ = ("name", "help", "labels", "value")
@@ -178,12 +179,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -321,68 +316,6 @@ class MetricsRegistry:
         ``_sum`` / ``_count`` / cumulative ``_bucket`` keys)."""
         return {key: value for _, key, value in self._samples()}
 
-    # -- cross-process merging ----------------------------------------------
-
-    def dump(self) -> List[Dict[str, Any]]:
-        """Serialize every series to JSON-able dicts (for shipping a
-        worker process's registry back to the parent; see
-        :meth:`absorb`)."""
-        out: List[Dict[str, Any]] = []
-        for series in self.series():
-            record: Dict[str, Any] = {
-                "kind": series.kind,
-                "name": series.name,
-                "help": series.help,
-                "labels": [list(pair) for pair in series.labels],
-            }
-            if isinstance(series, Histogram):
-                record["buckets"] = list(series.buckets)
-                record["counts"] = list(series.counts)
-                record["sum"] = series.sum
-                record["count"] = series.count
-            else:
-                record["value"] = series.value
-            out.append(record)
-        return out
-
-    def absorb(self, records: Iterable[Dict[str, Any]]) -> None:
-        """Merge a :meth:`dump` from another registry into this one.
-
-        Counters and gauges add their values; histograms add per-bucket
-        counts (boundaries must match). Used to fold worker-process
-        metrics into the parent observation after a parallel sweep.
-        """
-        for record in records:
-            labels = {k: v for k, v in record.get("labels", [])}
-            kind = record.get("kind")
-            name = record["name"]
-            help_text = record.get("help", "")
-            if kind == "histogram":
-                series = self.histogram(
-                    name, help_text,
-                    buckets=tuple(record["buckets"]), **labels,
-                )
-                if list(series.buckets) != [
-                    float(b) for b in record["buckets"]
-                ]:
-                    raise ObservabilityError(
-                        f"histogram {name!r} bucket mismatch on absorb"
-                    )
-                for index, count in enumerate(record["counts"]):
-                    series.counts[index] += count
-                series.sum += record["sum"]
-                series.count += record["count"]
-            elif kind == "gauge":
-                self.gauge(name, help_text, **labels).inc(record["value"])
-            elif kind == "counter":
-                self.counter(name, help_text, **labels).inc(
-                    record["value"]
-                )
-            else:
-                raise ObservabilityError(
-                    f"cannot absorb series of kind {kind!r}"
-                )
-
     def to_prometheus(self) -> str:
         """Prometheus text exposition of every series: the
         :meth:`snapshot` samples under ``# HELP`` / ``# TYPE`` lines."""
@@ -396,6 +329,132 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {series.name} {series.kind}")
             lines.append(f"{key} {_format(value)}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def metrics_from_events(
+    events: Iterable[Mapping[str, Any]],
+) -> MetricsRegistry:
+    """Fold trace records into their metrics: the one writer of series.
+
+    Each series counts or sums one kind of record (the table in
+    ``docs/observability.md`` names it). The ``_seconds`` series sum
+    the durations of their spans in the order the spans end, a span
+    that raised included; a span that never ended adds nothing. A
+    series exists once a record adds to it, and the derived
+    mean-votes gauge once a question was asked.
+    """
+    registry = MetricsRegistry()
+    counter = registry.counter
+    open_spans: Dict[Any, Mapping[str, Any]] = {}
+    for record in events:
+        kind = record["kind"]
+        if kind == "span_start":
+            open_spans[record["span"]] = record
+            continue
+        name = record["name"]
+        if kind == "span_end":
+            start = open_spans.pop(record["span"], None)
+            if start is not None:
+                _fold_span(
+                    registry, name, start["attrs"],
+                    (record["ts"] - start["ts"]) / 1e9,
+                )
+            continue
+        attrs = record["attrs"]
+        if name == "crowd.round" or name == "crowd.round_merged":
+            # A merged posting shares its predecessor's round.
+            if name == "crowd.round":
+                counter(ROUNDS).inc()
+                registry.histogram(ROUND_SIZE).observe(attrs["questions"])
+            counter(QUESTIONS_ASKED).inc(attrs["questions"])
+            if attrs["assignments"]:
+                counter(WORKER_ASSIGNMENTS).inc(attrs["assignments"])
+        elif name == "crowd.batch":
+            if attrs["cached"]:
+                counter(CACHE_HITS).inc(attrs["cached"])
+        elif name == "crowd.fault":
+            fault = attrs["fault"]
+            counter(FAULTS_INJECTED, kind=fault).inc()
+            # An expired HIT is a missed deadline; a spam answer is
+            # aggregated, but from spam votes.
+            if fault == "timeout":
+                counter(TIMEOUTS).inc()
+            elif fault == "spam":
+                counter(DEGRADED_ANSWERS).inc()
+        elif name == "crowd.deadline":
+            counter(TIMEOUTS).inc()
+        elif name == "crowd.degraded":
+            counter(DEGRADED_ANSWERS).inc()
+        elif name == "crowd.retry":
+            counter(RETRIES).inc()
+        elif name == "crowd.backoff":
+            counter(BACKOFF_ROUNDS).inc(attrs["rounds"])
+        elif name == "crowd.unresolved":
+            counter(UNRESOLVED_QUESTIONS, reason=attrs["reason"]).inc()
+        elif name == "crowd.budget":
+            counter(BUDGET_DENIALS).inc()
+        elif name == "crowd.replayed":
+            counter(REPLAYED_POSTINGS).inc()
+        elif name == "journal.append":
+            counter(JOURNAL_RECORDS).inc(attrs["records"])
+        elif name == "engine.batch":
+            if attrs["saved"]:
+                counter(QUESTIONS_SAVED_TRANSITIVITY).inc(attrs["saved"])
+        elif name == "engine.tuple":
+            counter(TUPLES_EVALUATED, outcome=attrs["outcome"]).inc()
+        elif name == "pref.batch":
+            registry.histogram(CLOSURE_BATCH_SIZE).observe(attrs["verdicts"])
+        elif name == "pref.totals":
+            backend = attrs["backend"]
+            if attrs["cache_hits"]:
+                counter(PREF_CACHE_HITS, backend=backend).inc(
+                    attrs["cache_hits"]
+                )
+            if attrs["closure_updates"]:
+                counter(CLOSURE_UPDATES, backend=backend).inc(
+                    attrs["closure_updates"]
+                )
+        elif name == "shard.stats":
+            counter(SHARD_TUPLES_SHIPPED).inc(attrs["shipped"])
+            counter(SHARD_DOMINANCE_CHECKS, stage="local").inc(
+                attrs["local_checks"]
+            )
+            counter(SHARD_DOMINANCE_CHECKS, stage="merge").inc(
+                attrs["merge_checks"]
+            )
+        elif name == "sweep.cached":
+            counter(SWEEP_CELLS, status="cached").inc()
+    questions = registry.total(QUESTIONS_ASKED)
+    if questions:
+        registry.gauge(MEAN_VOTES_PER_QUESTION).set(
+            registry.total(WORKER_ASSIGNMENTS) / questions
+        )
+    return registry
+
+
+def _fold_span(
+    registry: MetricsRegistry,
+    name: str,
+    attrs: Mapping[str, Any],
+    seconds: float,
+) -> None:
+    """Fold one ended span of ``seconds`` into ``registry``."""
+    if name.startswith("phase."):
+        registry.counter(PHASE_SECONDS, phase=name[len("phase."):]).inc(
+            seconds
+        )
+    elif name == "journal.fsync":
+        registry.histogram(
+            JOURNAL_FSYNC_SECONDS, buckets=LATENCY_BUCKETS_S
+        ).observe(seconds)
+    elif name == "sweep.cache_get" or name == "sweep.cache_put":
+        registry.histogram(
+            SWEEP_CACHE_LOOKUP_SECONDS,
+            buckets=LATENCY_BUCKETS_S,
+            status=attrs["status"],
+        ).observe(seconds)
+    elif name == "sweep.cell":
+        registry.counter(SWEEP_CELLS, status="computed").inc()
 
 
 def _format(value: float) -> str:

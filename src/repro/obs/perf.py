@@ -191,8 +191,7 @@ def profile_spans(
     """Aggregate a trace's spans into per-name wall/CPU statistics.
 
     Self time is each span's duration minus the sum of its direct
-    children's durations (clamped at zero against absorbed traces,
-    whose re-stamped children can nominally outlast their parent).
+    children's durations, clamped at zero.
     ``spans`` is the trace's :func:`index_spans`, when the caller has
     already built it.
     """

@@ -1,12 +1,13 @@
-"""Unified RunReport: one artifact per run, from trace + metrics.
+"""Unified RunReport: one artifact per run, from its trace.
 
 A *RunReport* is a JSON document (with a Markdown rendering) that
 answers the three questions every CrowdSky experiment is ultimately
 about — where did the wall time go, where did the money go, and what
 did the crowd actually do. It is assembled purely from recorded
-artifacts (the JSONL trace, the Prometheus metrics dump, and optional
-journal statistics passed in as plain dicts — this module sits in the
-``obs`` layer and cannot import :mod:`repro.crowd`), so a report can be
+artifacts (the JSONL trace, whose metrics it folds with
+:func:`~repro.obs.metrics.metrics_from_events`, and optional journal
+statistics passed in as plain dicts — this module sits in the ``obs``
+layer and cannot import :mod:`repro.crowd`), so a report can be
 produced long after the run, on a different machine, via ``crowdsky
 report <trace-dir>``.
 
@@ -43,6 +44,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, \
 
 from repro.exceptions import TraceSchemaError
 from repro.io.atomic import atomic_write_text
+from repro.obs.metrics import metrics_from_events
 from repro.obs.perf import (
     SpanStats,
     _phase_table,
@@ -353,7 +355,6 @@ def cost_from_events(
 
 def build_run_report(
     events: Sequence[Dict[str, Any]],
-    metrics: Optional[Mapping[str, float]] = None,
     journal: Optional[Mapping[str, Any]] = None,
     meta: Optional[Mapping[str, Any]] = None,
     price: float = DEFAULT_PRICE,
@@ -362,10 +363,10 @@ def build_run_report(
 ) -> Dict[str, Any]:
     """Assemble the RunReport document from recorded artifacts.
 
-    ``metrics`` is a parsed Prometheus snapshot (``{series: value}``,
-    see :func:`repro.obs.exporters.parse_prometheus_text`); ``journal``
-    is a plain stats dict computed by the caller (the ``obs`` layer
-    cannot read journals itself).
+    The ``metrics`` section is the trace's metrics fold
+    (``{series: value}``, as a Prometheus dump of the run parses);
+    ``journal`` is a plain stats dict computed by the caller (the
+    ``obs`` layer cannot read journals itself).
     """
     spans = index_spans(events)
     stats = profile_spans(events, spans)
@@ -378,7 +379,7 @@ def build_run_report(
         "cost": cost_from_events(
             events, price=price, omega=omega, per_hit=per_hit, spans=spans
         ),
-        "metrics": dict(metrics) if metrics else {},
+        "metrics": metrics_from_events(events).snapshot(),
         "journal": dict(journal) if journal else None,
     }
 

@@ -13,9 +13,10 @@ validator checks structure always and attribute types for known names.
 
 Use :func:`validate_events` on in-memory records,
 :func:`validate_jsonl` on a persisted trace, and
-:func:`check_metrics_consistency` to cross-check a trace against a
-Prometheus dump of the same run (per-round question counts must sum to
-the ``crowdsky_questions_asked_total`` counter).
+:func:`check_metrics_consistency` to check a Prometheus dump against
+the trace of the same run: the dump must hold exactly the series the
+trace folds to (:func:`repro.obs.metrics.metrics_from_events`). Every
+event the fold reads is registered here with the attributes it reads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.exceptions import TraceSchemaError
-from repro.obs import metrics as metric_names
+from repro.obs.metrics import metrics_from_events
 from repro.obs.exporters import read_trace_jsonl
 
 #: Schema version persisted in docs; bump when the shape changes.
@@ -63,6 +64,15 @@ EVENT_ATTRS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     "crowd.vote": {"question": (list,), "vote": (str, int)},
     "crowd.estimate": {"question": (list,), "value": (int, float)},
     "crowd.fault": {"question": (list,), "fault": (str,)},
+    # An answer aggregated from fewer votes than were assigned (a spam
+    # answer emits crowd.fault instead).
+    "crowd.degraded": {"question": (list,)},
+    # A question's retry deadline passed before its next posting.
+    "crowd.deadline": {"question": (list,)},
+    # Retried questions wait ``rounds`` idle rounds before re-posting.
+    "crowd.backoff": {"rounds": (int,)},
+    # A posting was served from a journal replay, not a live backend.
+    "crowd.replayed": {},
     "crowd.retry": {
         "question": (list,),
         "attempt": (int,),
@@ -86,10 +96,15 @@ EVENT_ATTRS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     # An interrupted run was resumed from its journal: ``replayed``
     # recorded postings were served before going live.
     "run.resumed": {"algorithm": (str,), "replayed": (int,)},
+    # A posting's ``records`` were appended to the write-ahead journal.
+    "journal.append": {"records": (int,)},
+    # ``saved`` attribute-questions were settled by the closure instead
+    # of being asked.
     "engine.batch": {
         "pairs": (int,),
         "multiway": (int,),
         "questions": (int,),
+        "saved": (int,),
     },
     "engine.tuple": {"t": (int,), "outcome": (str,)},
     "engine.visible_seed": {"edges": (int,)},
@@ -100,6 +115,18 @@ EVENT_ATTRS: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "verdicts": (int,),
         "accepted": (int,),
         "backend": (str,),
+    },
+    # A run's closure memo hits and closure updates, once per run.
+    "pref.totals": {
+        "backend": (str,),
+        "cache_hits": (int,),
+        "closure_updates": (int,),
+    },
+    # The sharded machine phase's merge traffic and dominance checks.
+    "shard.stats": {
+        "shipped": (int,),
+        "local_checks": (int,),
+        "merge_checks": (int,),
     },
 }
 
@@ -244,27 +271,22 @@ def trace_totals(events: List[Dict[str, Any]]) -> Dict[str, int]:
 def check_metrics_consistency(
     events: List[Dict[str, Any]], values: Mapping[str, float]
 ) -> List[str]:
-    """Cross-check a trace against a metrics dump of the same run.
+    """Check a metrics dump against the trace of the same run.
 
-    The per-round question counts and round count in the trace must sum
-    exactly to the exported ``crowdsky_questions_asked_total`` /
-    ``crowdsky_rounds_total`` counters.
+    The dump must hold exactly the series the trace folds to
+    (:func:`~repro.obs.metrics.metrics_from_events`), each with the
+    same value; returns the problems found.
     """
-    totals = trace_totals(events)
+    folded = metrics_from_events(events).snapshot()
     errors: List[str] = []
-    for key, metric in (
-        ("questions", metric_names.QUESTIONS_ASKED),
-        ("rounds", metric_names.ROUNDS),
-    ):
-        exported = values.get(metric)
-        if exported is None:
-            # A fully cache-served sweep asks the crowd nothing: the
-            # counter never registers and the trace total is 0.
-            if totals[key]:
-                errors.append(f"metrics dump is missing {metric}")
-        elif int(exported) != totals[key]:
+    for key in sorted(set(folded) | set(values)):
+        if key not in values:
+            errors.append(f"metrics dump is missing {key}")
+        elif key not in folded:
+            errors.append(f"trace records nothing for exported {key}")
+        elif values[key] != folded[key]:
             errors.append(
-                f"trace {key} total {totals[key]} != exported "
-                f"{metric} {int(exported)}"
+                f"trace folds {key} to {folded[key]!r}, "
+                f"dump exports {values[key]!r}"
             )
     return errors

@@ -14,11 +14,15 @@ additionally carry a ``"cpu"`` key — nanoseconds of process CPU time
 (:func:`time.process_time_ns`) relative to the same origin — so the
 profiler (:mod:`repro.obs.perf`) can split wall time into CPU work vs
 waiting (fsync, simulated crowd latency). Like ``ts``, the ``cpu``
-stamps are stripped by the determinism tests: they vary run to run. Spans nest via
-:mod:`contextvars`: events emitted inside a ``with tracer.span(...)``
-block are stamped with the enclosing span's id, and nested spans record
-their parent — the context-local stack survives generators and
-``asyncio`` tasks.
+stamps are stripped by the determinism tests: they vary run to run.
+Spans nest via :mod:`contextvars`: events emitted inside a ``with
+tracer.span(...)`` block are stamped with the enclosing span's id, and
+nested spans record their parent — the context-local stack survives
+generators and ``asyncio`` tasks.
+
+A worker process's records join the trace through :meth:`Tracer.absorb`,
+which keeps their durations: a parallel sweep's trace reads as its
+cells run one after another.
 
 The module-level :data:`NOOP_TRACER` is the disabled singleton: every
 instrumentation site guards with ``tracer.enabled`` (or checks the
@@ -67,7 +71,9 @@ class Span:
 
     Entering emits a ``span_start`` record and makes the span current
     (events and child spans attach to it); exiting emits ``span_end``.
-    After exit, :attr:`duration_ns` / :attr:`duration_s` hold the
+    :attr:`attrs` is the start record's attribute dict, so an attribute
+    known only inside the span (a lookup's outcome) is set there before
+    exit. After exit, :attr:`duration_ns` / :attr:`duration_s` hold the
     monotonic wall time spent inside.
     """
 
@@ -200,15 +206,19 @@ class Tracer:
 
         Used to fold a worker process's trace into the parent after a
         parallel sweep: span ids are remapped through this tracer's
-        counter (so they stay unique), top-level records are reparented
-        under the currently open span, and every record is re-stamped at
-        the absorption instant — relative ordering survives, per-event
-        durations inside the absorbed region do not.
+        counter (so they stay unique) and top-level records are
+        reparented under the currently open span. The records are laid
+        out from now, each keeping its offset from the first absorbed
+        record — wall and ``cpu`` stamps alike — so every absorbed span
+        keeps its recorded duration. Both clocks then move past the
+        absorbed records, so ``ts`` stays non-decreasing, and a span
+        open across the absorb covers the absorbed work.
         """
         if not events:
             return
-        now = self._now()
-        cpu_now = self._cpu_now()
+        ts_shift = self._now() - events[0]["ts"]
+        cpus = [record["cpu"] for record in events if "cpu" in record]
+        cpu_shift = self._cpu_now() - cpus[0] if cpus else 0
         current = self._current.get()
         mapping: Dict[int, int] = {}
 
@@ -221,14 +231,20 @@ class Tracer:
             return new
 
         for record in events:
+            cpu = record.get("cpu")
             self._emit(
-                now,
+                record["ts"] + ts_shift,
                 record["kind"],
                 record["name"],
                 remap(record["span"]),
                 remap(record["parent"]),
                 record["attrs"],
-                cpu=cpu_now if "cpu" in record else None,
+                cpu=None if cpu is None else cpu + cpu_shift,
+            )
+        self._origin -= max(0, events[-1]["ts"] + ts_shift - self._now())
+        if cpus:
+            self._cpu_origin -= max(
+                0, cpus[-1] + cpu_shift - self._cpu_now()
             )
 
 

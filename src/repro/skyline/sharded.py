@@ -20,7 +20,7 @@ sharded skyline is identical across processes, job counts and repeat
 invocations.
 
 :func:`sharded_skyline_mask` emits ``shard.map`` / ``shard.merge``
-tracer spans and increments the
+tracer spans and one ``shard.stats`` event, which folds into the
 :data:`repro.obs.metrics.SHARD_TUPLES_SHIPPED` and
 :data:`repro.obs.metrics.SHARD_DOMINANCE_CHECKS` counters.
 """
@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.exceptions import CrowdSkyError
 from repro.obs import NOOP_TRACER, current_observation
-from repro.obs.metrics import SHARD_DOMINANCE_CHECKS, SHARD_TUPLES_SHIPPED
 from repro.skyline.dominance import _dominance_blocks, skyline_mask
 
 
@@ -293,13 +292,10 @@ def sharded_skyline_mask(
         stats.skyline_size = int(np.count_nonzero(keep))
 
     if observation.enabled:
-        observation.metrics.counter(SHARD_TUPLES_SHIPPED).inc(
-            stats.tuples_shipped
+        observation.tracer.event(
+            "shard.stats",
+            shipped=stats.tuples_shipped,
+            local_checks=stats.local_checks,
+            merge_checks=stats.merge_checks,
         )
-        observation.metrics.counter(
-            SHARD_DOMINANCE_CHECKS, stage="local"
-        ).inc(stats.local_checks)
-        observation.metrics.counter(
-            SHARD_DOMINANCE_CHECKS, stage="merge"
-        ).inc(stats.merge_checks)
     return keep, stats

@@ -443,6 +443,19 @@ def _ledger_rows(ledger: HitLedger):
     }
 
 
+def normalised_trace(events):
+    """A trace without its ``ts`` and ``cpu`` clock stamps: the part
+    of it that a seeded run repeats."""
+    return [
+        {
+            key: value
+            for key, value in event.items()
+            if key not in ("ts", "cpu")
+        }
+        for event in events
+    ]
+
+
 def record_posting(name: str) -> Dict[str, str]:
     """Run one posting scenario under a fresh observation and digest
     each of its reported outputs separately (so a drift names the
@@ -451,14 +464,7 @@ def record_posting(name: str) -> Dict[str, str]:
         with observe() as observation:
             result, ledger = POSTING_SCENARIOS[name](Path(scratch))
     outputs = {
-        "trace": [
-            {
-                key: value
-                for key, value in event.items()
-                if key not in ("ts", "cpu")
-            }
-            for event in observation.tracer.events
-        ],
+        "trace": normalised_trace(observation.tracer.events),
         "metrics": {
             series: value
             for series, value in observation.metrics.snapshot().items()

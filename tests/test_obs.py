@@ -6,12 +6,14 @@ Covers:
   checked against the trace schema validator,
 * the metrics registry (counters, gauges, labelled series, histograms)
   and its Prometheus text round-trip,
+* the metrics fold: one record of each kind it reads yields every
+  canonical series, and every event it reads is registered,
 * the ``observe`` scope: trace/metrics files written, per-round question
   counts in the trace summing exactly to the exported counter and to
   ``CrowdStats`` (the acceptance identity),
 * results reporting fault numbers from ``CrowdStats`` (which agree with
-  the observation's counters), and wall-clock stamping under an active
-  trace,
+  the metrics their trace folds to), and wall-clock stamping under an
+  active trace,
 * seeded determinism: same seed + same fault plan => identical event
   sequences modulo timestamps (Hypothesis, reusing ``tests/strategies``),
 * the no-op guarantee and an emission-overhead smoke test,
@@ -25,7 +27,6 @@ import time
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.core.crowdsky import crowdsky
 from repro.core.parallel import parallel_sl
@@ -157,6 +158,67 @@ class TestMetrics:
         assert values == registry.snapshot()
 
 
+def _every_folded_record():
+    """One record of each event and span that the metrics fold reads."""
+    tracer = Tracer()
+    emit = tracer.event
+    question = [0, 1, 0]
+    with tracer.span("phase.evaluate"):
+        emit("crowd.batch", requested=2, fresh=1, cached=1,
+             format="pairwise")
+        emit("crowd.round", round=1, questions=1, assignments=5,
+             retried=0, format="pairwise")
+        emit("crowd.round_merged", round=1, questions=1, assignments=5,
+             retried=0, format="multiway")
+        emit("crowd.fault", question=question, fault="timeout")
+        emit("crowd.fault", question=question, fault="spam")
+        emit("crowd.degraded", question=question)
+        emit("crowd.deadline", question=question)
+        emit("crowd.retry", question=question, attempt=1, backoff=1)
+        emit("crowd.backoff", rounds=1)
+        emit("crowd.unresolved", question=question, reason="deadline")
+        emit("crowd.budget", budget=1, spent=1, requested=1, strict=False)
+        emit("crowd.replayed")
+        emit("journal.append", records=3)
+        emit("engine.batch", pairs=1, multiway=1, questions=1, saved=1)
+        emit("engine.tuple", t=0, outcome="skyline")
+        emit("pref.batch", verdicts=1, accepted=1, backend="numpy")
+        emit("pref.totals", backend="numpy", cache_hits=1,
+             closure_updates=1)
+        emit("shard.stats", shipped=1, local_checks=1, merge_checks=1)
+        emit("sweep.cached", id="fig6a", seed=0)
+        with tracer.span("journal.fsync"):
+            pass
+        with tracer.span("sweep.cache_get") as lookup:
+            lookup.attrs["status"] = "miss"
+        with tracer.span("sweep.cache_put", status="store"):
+            pass
+        with tracer.span("sweep.cell", id="fig6a", seed=0):
+            pass
+    return tracer.events
+
+
+class TestMetricsFold:
+    def test_one_record_of_each_kind_yields_every_series(self):
+        events = _every_folded_record()
+        names = {
+            series.name for series in M.metrics_from_events(events).series()
+        }
+        assert names == set(M.DEFAULT_HELP)
+
+    def test_every_folded_event_is_registered_and_read(self):
+        events = _every_folded_record()
+        # Registered, with the attributes the fold reads.
+        assert validate_events(events, strict_names=True) == []
+        folded = M.metrics_from_events(events).snapshot()
+        for index, record in enumerate(events):
+            if record["kind"] == "event":
+                rest = events[:index] + events[index + 1:]
+                assert M.metrics_from_events(rest).snapshot() != folded, (
+                    f"the fold does not read {record['name']}"
+                )
+
+
 # ---------------------------------------------------------------------------
 # observe(): files, consistency, results
 # ---------------------------------------------------------------------------
@@ -210,7 +272,7 @@ class TestObserve:
         values = parse_prometheus_text(metrics_path.read_text())
         assert check_metrics_consistency(events, values) == []
         assert values[M.QUESTIONS_ASKED] == result.stats.questions
-        # derived gauge finalized on exit
+        # the derived gauge is part of the fold
         assert values[M.MEAN_VOTES_PER_QUESTION] == pytest.approx(
             observation.metrics.total(M.WORKER_ASSIGNMENTS)
             / result.stats.questions
@@ -310,49 +372,6 @@ class TestDeterminism:
                 crowdsky(relation, crowd=crowd)
             traces.append(_normalized(observation.tracer.events))
         assert traces[0] == traces[1]
-
-
-class TestMetricsMergeProperty:
-    @ROBUSTNESS_SETTINGS
-    @given(data=st.data())
-    def test_dump_absorb_roundtrips_buckets_in_any_merge_order(self, data):
-        """Folding worker registries into a parent (dump → absorb) must
-        reproduce the exact histogram a single registry would have
-        built, whatever the merge order. Values are dyadic rationals so
-        even the float sums stay bit-exact."""
-        observations = st.tuples(
-            st.integers(0, 4096).map(lambda i: i / 1024.0),
-            st.sampled_from(["hit", "miss", "corrupt"]),
-        )
-        chunks = data.draw(
-            st.lists(
-                st.lists(observations, max_size=12),
-                min_size=1,
-                max_size=5,
-            )
-        )
-
-        def build(registry, chunk):
-            for value, status in chunk:
-                registry.histogram(
-                    M.SWEEP_CACHE_LOOKUP_SECONDS,
-                    buckets=M.LATENCY_BUCKETS_S,
-                    status=status,
-                ).observe(value)
-
-        expected = M.MetricsRegistry()
-        dumps = []
-        for chunk in chunks:
-            build(expected, chunk)
-            worker = M.MetricsRegistry()
-            build(worker, chunk)
-            dumps.append(worker.dump())
-
-        order = data.draw(st.permutations(range(len(dumps))))
-        merged = M.MetricsRegistry()
-        for index in order:
-            merged.absorb(dumps[index])
-        assert merged.snapshot() == expected.snapshot()
 
 
 class TestOverhead:

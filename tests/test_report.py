@@ -24,7 +24,12 @@ from repro.data.synthetic import generate_synthetic
 from repro.data.toy import figure1_dataset
 from repro.exceptions import TraceSchemaError
 from repro.experiments.cli import main as cli_main
-from repro.obs import observe, read_trace_jsonl, summarize_trace
+from repro.obs import (
+    metrics_from_events,
+    observe,
+    read_trace_jsonl,
+    summarize_trace,
+)
 from repro.obs import report as R
 from repro.obs.perf import (
     machine_fingerprint,
@@ -204,10 +209,12 @@ class TestRunReport:
     ):
         events, result = traced_run
         report = R.build_run_report(
-            events, metrics={"crowdsky_questions_total": 1.0},
-            journal={"segments": 1}, meta={"run": "unit"},
+            events, journal={"segments": 1}, meta={"run": "unit"},
         )
         R.validate_run_report(report)
+        assert report["metrics"]["crowdsky_questions_asked_total"] == (
+            result.stats.questions
+        )
         # Acceptance: phases sum within 5% of total, cost equals ledger.
         profile = report["profile"]
         summed = sum(p["self_s"] for p in profile["phases"])
@@ -240,6 +247,13 @@ class TestRunReport:
         assert "report.json" in out and "report.md" in out
         report = json.loads((run_dir / "report.json").read_text())
         R.validate_run_report(report)
+        # A directory holding only a trace still reports its metrics.
+        assert report["metrics"] == (
+            metrics_from_events(read_trace_jsonl(str(trace))).snapshot()
+        )
+        assert report["metrics"]["crowdsky_questions_asked_total"] == (
+            report["trace"]["questions"]
+        )
 
         assert cli_main(
             ["trace", "summarize", str(trace), "--format", "json"]

@@ -22,8 +22,14 @@ from repro.experiments.sweep import (
     resolve_jobs,
     run_cells,
 )
-from repro.obs import MetricsRegistry, Tracer, observe
-from repro.obs.metrics import ROUND_SIZE, SWEEP_CELLS
+from repro.obs import (
+    Tracer,
+    observe,
+    parse_prometheus_text,
+    profile_spans,
+    read_trace_jsonl,
+)
+from repro.obs.metrics import PHASE_SECONDS, SWEEP_CELLS
 from repro.obs.schema import check_metrics_consistency, validate_events
 from tests.conftest import make_relation
 
@@ -180,11 +186,30 @@ class TestObsMerging:
         with observe() as o:
             run_experiment("fig6a", scale="smoke", jobs=2)
         assert validate_events(o.tracer.events) == []
-        o.finalize()
         assert check_metrics_consistency(
             o.tracer.events, o.metrics.snapshot()
         ) == []
         assert o.metrics.value(SWEEP_CELLS, status="computed") == 4
+
+    def test_parallel_trace_folds_to_its_dump_with_worker_durations(
+        self, tmp_path
+    ):
+        """The written trace of a ``jobs=2`` run folds to exactly the
+        written dump, and absorbed worker spans keep their durations:
+        the span profile's evaluate time is the dump's, in another
+        float summation order."""
+        trace, dump = tmp_path / "run.jsonl", tmp_path / "run.prom"
+        with observe(trace_path=str(trace), metrics_path=str(dump)):
+            run_experiment("fig6a", scale="smoke", jobs=2)
+        events = read_trace_jsonl(str(trace))
+        values = parse_prometheus_text(dump.read_text())
+        assert validate_events(events) == []
+        assert check_metrics_consistency(events, values) == []
+        profiled = profile_spans(events)["phase.evaluate"].wall_ns / 1e9
+        assert profiled > 0
+        assert profiled == pytest.approx(
+            values[f'{PHASE_SECONDS}{{phase="evaluate"}}'], abs=1e-6
+        )
 
     def test_parallel_metrics_equal_serial_metrics(self):
         def deterministic(snapshot):
@@ -213,25 +238,10 @@ class TestObsMerging:
         assert names.count("sweep.cached") == 4
         assert "crowd.round" not in names  # skipped work is not replayed
         assert validate_events(o.tracer.events) == []
-        o.finalize()
         assert check_metrics_consistency(
             o.tracer.events, o.metrics.snapshot()
         ) == []
         assert o.metrics.value(SWEEP_CELLS, status="cached") == 4
-
-    def test_metrics_registry_absorb(self):
-        child = MetricsRegistry()
-        child.counter("c_total", x="1").inc(3)
-        child.gauge("g").set(2.5)
-        child.histogram(ROUND_SIZE).observe(5)
-        parent = MetricsRegistry()
-        parent.absorb(child.dump())
-        parent.absorb(child.dump())
-        assert parent.value("c_total", x="1") == 6
-        assert parent.value("g") == 5.0
-        histogram = parent.histogram(ROUND_SIZE)
-        assert histogram.count == 2
-        assert histogram.sum == 10
 
     def test_tracer_absorb_remaps_spans(self):
         child = Tracer()
@@ -247,6 +257,28 @@ class TestObsMerging:
         ]
         assert absorbed_start[0]["span"] != outer.span_id
         assert absorbed_start[0]["parent"] == outer.span_id
+
+    def test_tracer_absorb_keeps_durations_and_moves_the_clocks(self):
+        def stepping(step):
+            ticks = iter(range(step, 10**9, step))
+            return lambda: next(ticks)
+
+        child = Tracer(clock=stepping(1000), cpu_clock=stepping(10))
+        with child.span("sweep.cell", id="t", seed=0):
+            child.event("engine.visible_seed", edges=0)
+        parent = Tracer(clock=stepping(1), cpu_clock=stepping(1))
+        parent.event("engine.visible_seed", edges=0)
+        parent.absorb(child.events)
+        with parent.span("phase.evaluate"):
+            pass
+        assert validate_events(parent.events) == []
+        cell = profile_spans(parent.events)["sweep.cell"]
+        assert (cell.wall_ns, cell.cpu_ns) == (2000, 10)
+        absorbed_end = parent.events[-3]
+        later = parent.events[-2]
+        assert absorbed_end["name"] == "sweep.cell"
+        assert later["ts"] >= absorbed_end["ts"]
+        assert later["cpu"] >= absorbed_end["cpu"]
 
 
 class TestMixedBatchSingleRound:
@@ -298,7 +330,6 @@ class TestMixedBatchSingleRound:
         names = [e["name"] for e in o.tracer.events]
         assert "crowd.round_merged" in names
         assert validate_events(o.tracer.events) == []
-        o.finalize()
         assert check_metrics_consistency(
             o.tracer.events, o.metrics.snapshot()
         ) == []
