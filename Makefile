@@ -129,18 +129,16 @@ examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f; echo; done
 
 # Record a small traced IND run, then validate the JSONL trace against
-# the event schema and check that the metrics dump holds exactly the
-# metrics the trace folds to. Then the same across two worker
-# processes, whose events the parent absorbs. Runs with
-# REPRO_OBS_STRICT=1 so an unregistered event name fails at emission
-# time instead of at validation time.
+# the event schema (an unregistered event name fails it) and check that
+# the metrics dump holds exactly the metrics the trace folds to. Then
+# the same across two worker processes, whose events the parent absorbs.
 trace-demo:
-	REPRO_OBS_STRICT=1 python -m repro.experiments run fig6a --scale smoke --no-cache \
+	python -m repro.experiments run fig6a --scale smoke --no-cache \
 		--trace trace-demo.jsonl --metrics trace-demo.prom
 	python -m repro.experiments trace validate trace-demo.jsonl \
 		--metrics trace-demo.prom
 	python -m repro.experiments trace summarize trace-demo.jsonl
-	REPRO_OBS_STRICT=1 python -m repro.experiments run fig6a --scale smoke --no-cache \
+	python -m repro.experiments run fig6a --scale smoke --no-cache \
 		--jobs 2 --trace trace-demo-jobs2.jsonl --metrics trace-demo-jobs2.prom
 	python -m repro.experiments trace validate trace-demo-jobs2.jsonl \
 		--metrics trace-demo-jobs2.prom

@@ -15,10 +15,12 @@ run; these rules close the gap statically:
   constant from ``repro.obs.metrics``.
 
 RA005/RA007 read both plain literals and two-branch conditional
-expressions; dynamically computed names are skipped (the runtime
-strict mode — ``REPRO_OBS_STRICT=1`` — covers those). RA006 only runs
-when the schema module itself is part of the scanned tree, so scanning
-a subpackage never yields false "never emitted" findings.
+expressions; dynamically computed names are skipped, and every event
+name in ``src/`` is one of those two forms. A recorded trace is checked
+once more by ``crowdsky trace validate``, which rejects any event name
+outside the registry. RA006 only runs when the schema module itself is
+part of the scanned tree, so scanning a subpackage never yields false
+"never emitted" findings.
 """
 
 from __future__ import annotations

@@ -382,7 +382,26 @@ def ask_batch(context: ExecutionContext, requests: Iterable[Request]) -> None:
     pair's attributes are asked one round at a time, and the rest are
     skipped as soon as its outcome is decided — trading rounds for
     fewer questions when ``|AC| > 1``.
+
+    Under an active trace the batch is one ``engine.ask_batch`` span
+    around its closure pass, postings and their apply, carrying the
+    batch's ``pairs``, ``multiway``, ``questions`` and ``saved`` counts.
     """
+    observation = current_observation()
+    if observation.enabled:
+        with observation.tracer.span("engine.ask_batch") as span:
+            _ask_batch(context, requests, span.attrs)
+    else:
+        _ask_batch(context, requests, None)
+
+
+def _ask_batch(
+    context: ExecutionContext,
+    requests: Iterable[Request],
+    counts: Optional[Dict[str, int]],
+) -> None:
+    """The body of :func:`ask_batch`; sets the batch's counts on
+    ``counts`` (its span's attributes) when traced."""
     prefs = context.prefs
     questions: List[PairwiseQuestion] = []
     multiway: List[MultiwayQuestion] = []
@@ -413,25 +432,22 @@ def ask_batch(context: ExecutionContext, requests: Iterable[Request]) -> None:
             questions.append(
                 PairwiseQuestion(request.left, request.right, attribute)
             )
-    observation = current_observation()
-    if observation.enabled and (questions or multiway):
-        observation.tracer.event(
-            "engine.batch",
+    if counts is not None:
+        # Set before the crowd is asked, so a batch that a strict
+        # budget refuses still carries them.
+        counts.update(
             pairs=len(pair_requests),
             multiway=len(multiway),
             questions=len(questions),
             saved=saved,
         )
-    spans = observation.tracer if observation.enabled else NOOP_TRACER
     if context.ac_round_robin and len(pair_requests) == 1:
         postings = [[question] for question in questions]
     else:
         postings = [questions] if questions else []
     rounds_before = context.crowd.stats.rounds
     for posting in postings:
-        answers = context.crowd.ask_pairwise_round(posting)
-        with spans.span("engine.apply_answers", answers=len(answers)):
-            apply_answers(prefs, answers)
+        apply_answers(prefs, context.crowd.ask_pairwise_round(posting))
         _note_unresolved(context, posting)
         if len(postings) > 1 and _request_decided(prefs, pair_requests[0]):
             break
@@ -443,10 +459,7 @@ def ask_batch(context: ExecutionContext, requests: Iterable[Request]) -> None:
             multiway,
             same_round=context.crowd.stats.rounds > rounds_before,
         )
-        with spans.span(
-            "engine.apply_answers", answers=len(multiway_answers)
-        ):
-            apply_multiway_answers(prefs, multiway_answers)
+        apply_multiway_answers(prefs, multiway_answers)
 
 
 def preprocess_duplicates(

@@ -680,9 +680,9 @@ class PreferenceSystem:
         :attr:`ContradictionPolicy.KEEP_FIRST` acceptance is
         order-sensitive, so the transaction never reorders answers; what
         it batches is everything *around* the per-edge closure update:
-        one ``pref.apply_verdicts`` span and one ``pref.batch`` trace
-        event (which folds into the ``crowdsky_closure_batch_size``
-        histogram) per round instead of per answer.
+        one ``pref.apply_verdicts`` span (whose ``verdicts`` fold into
+        the ``crowdsky_closure_batch_size`` histogram, and which carries
+        ``accepted``) per round instead of per answer.
 
         Returns the number of accepted (non-contradicting) verdicts.
         """
@@ -695,14 +695,9 @@ class PreferenceSystem:
                 "pref.apply_verdicts",
                 verdicts=len(verdicts),
                 backend=self.backend,
-            ):
+            ) as span:
                 accepted = self._apply_verdicts(verdicts)
-            observation.tracer.event(
-                "pref.batch",
-                verdicts=len(verdicts),
-                accepted=accepted,
-                backend=self.backend,
-            )
+                span.attrs["accepted"] = accepted
         else:
             accepted = self._apply_verdicts(verdicts)
         return accepted

@@ -655,11 +655,6 @@ class SimulatedCrowd:
                     trace.event("crowd.fault", question=list(key), fault=fault)
                 elif outcome.degraded:
                     trace.event("crowd.degraded", question=list(key))
-                if outcome.status == STATUS_ANSWERED:
-                    for vote in outcome.votes:
-                        trace.event(
-                            "crowd.vote", question=list(key), vote=vote.value
-                        )
         stats = self.stats
         stats.abandoned_assignments += abandoned
         stats.timeouts += timeouts
@@ -835,16 +830,10 @@ class SimulatedCrowd:
                 "multiway", unique, fresh, self._backend.multiway_round,
                 merge=merge,
             )
-            observation = current_observation()
             assignments = 0
             for key, outcome in zip(fresh, outcomes):
                 assignments += outcome.omega
                 answers[key] = outcome.winner
-                if observation.enabled:
-                    for vote in outcome.votes:
-                        observation.tracer.event(
-                            "crowd.vote", question=list(key), vote=int(vote)
-                        )
             self._commit("multiway", len(fresh), assignments, merged=merge)
         return {unique[key]: answers[key] for key in unique if key in answers}
 

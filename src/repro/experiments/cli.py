@@ -377,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     validate = trace_actions.add_parser(
-        "validate", help="check a trace against the event schema"
+        "validate",
+        help="check a trace against the event schema and its names",
     )
     validate.add_argument("path", help="JSONL trace file")
     validate.add_argument(
@@ -623,7 +624,7 @@ def _run_trace_command(args) -> int:
             print(summarize_trace(events))
         return 0
 
-    errors = validate_events(events)
+    errors = validate_events(events, strict_names=True)
     if args.metrics is not None:
         try:
             with open(args.metrics) as handle:

@@ -137,6 +137,8 @@ _LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Dict[str, str]) -> _LabelKey:
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -397,13 +399,8 @@ def metrics_from_events(
             counter(REPLAYED_POSTINGS).inc()
         elif name == "journal.append":
             counter(JOURNAL_RECORDS).inc(attrs["records"])
-        elif name == "engine.batch":
-            if attrs["saved"]:
-                counter(QUESTIONS_SAVED_TRANSITIVITY).inc(attrs["saved"])
         elif name == "engine.tuple":
             counter(TUPLES_EVALUATED, outcome=attrs["outcome"]).inc()
-        elif name == "pref.batch":
-            registry.histogram(CLOSURE_BATCH_SIZE).observe(attrs["verdicts"])
         elif name == "pref.totals":
             backend = attrs["backend"]
             if attrs["cache_hits"]:
@@ -439,7 +436,15 @@ def _fold_span(
     seconds: float,
 ) -> None:
     """Fold one ended span of ``seconds`` into ``registry``."""
-    if name.startswith("phase."):
+    if name == "engine.ask_batch":
+        # A batch that raised before its closure pass ended has no
+        # counts.
+        saved = attrs.get("saved")
+        if saved:
+            registry.counter(QUESTIONS_SAVED_TRANSITIVITY).inc(saved)
+    elif name == "pref.apply_verdicts":
+        registry.histogram(CLOSURE_BATCH_SIZE).observe(attrs["verdicts"])
+    elif name.startswith("phase."):
         registry.counter(PHASE_SECONDS, phase=name[len("phase."):]).inc(
             seconds
         )

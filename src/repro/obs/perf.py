@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import platform
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -387,24 +386,3 @@ def regress(
             )
     findings.sort(key=lambda f: f.ratio, reverse=True)
     return findings
-
-
-def _main() -> int:  # pragma: no cover - thin debug helper
-    """``python -m repro.obs.perf trace.jsonl`` prints a breakdown."""
-    from repro.obs.exporters import read_trace_jsonl
-
-    if len(sys.argv) != 2:
-        print("usage: python -m repro.obs.perf TRACE.jsonl")
-        return 2
-    breakdown = phase_breakdown(read_trace_jsonl(sys.argv[1]))
-    print(f"total wall: {breakdown['total_wall_s']:.4f}s")
-    for phase in breakdown["phases"]:
-        print(
-            f"  {phase['name']:<28} x{phase['count']:<6} "
-            f"self {phase['self_s']:.4f}s ({phase['share']:.1%})"
-        )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(_main())

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Tuple
 
-from repro.exceptions import TraceSchemaError
 from repro.obs.metrics import metrics_from_events
 from repro.obs.exporters import read_trace_jsonl
 
@@ -33,7 +32,8 @@ TRACE_SCHEMA_VERSION = 1
 KINDS = frozenset({"event", "span_start", "span_end"})
 
 #: Required attributes (name -> type or tuple of accepted types) per
-#: known event name. Unknown names pass structural validation only.
+#: known event name. Unknown names pass structural validation only,
+#: unless the validator is asked for ``strict_names``.
 EVENT_ATTRS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     "crowd.round": {
         "round": (int,),
@@ -61,7 +61,6 @@ EVENT_ATTRS: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "cached": (int,),
         "format": (str,),
     },
-    "crowd.vote": {"question": (list,), "vote": (str, int)},
     "crowd.estimate": {"question": (list,), "value": (int, float)},
     "crowd.fault": {"question": (list,), "fault": (str,)},
     # An answer aggregated from fewer votes than were assigned (a spam
@@ -98,24 +97,8 @@ EVENT_ATTRS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     "run.resumed": {"algorithm": (str,), "replayed": (int,)},
     # A posting's ``records`` were appended to the write-ahead journal.
     "journal.append": {"records": (int,)},
-    # ``saved`` attribute-questions were settled by the closure instead
-    # of being asked.
-    "engine.batch": {
-        "pairs": (int,),
-        "multiway": (int,),
-        "questions": (int,),
-        "saved": (int,),
-    },
     "engine.tuple": {"t": (int,), "outcome": (str,)},
     "engine.visible_seed": {"edges": (int,)},
-    # One closure transaction committed a round's verdicts into the
-    # preference graphs (emitted right after its pref.apply_verdicts
-    # span closes).
-    "pref.batch": {
-        "verdicts": (int,),
-        "accepted": (int,),
-        "backend": (str,),
-    },
     # A run's closure memo hits and closure updates, once per run.
     "pref.totals": {
         "backend": (str,),
@@ -129,24 +112,6 @@ EVENT_ATTRS: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "merge_checks": (int,),
     },
 }
-
-
-def assert_known(name: str) -> None:
-    """Raise :class:`TraceSchemaError` unless ``name`` is registered.
-
-    The runtime twin of the static obs-schema rule (RA005): the linter
-    checks every *literal* event name at its emission site, and strict
-    mode (``REPRO_OBS_STRICT=1``, see
-    :class:`~repro.obs.tracer.Tracer`) routes every *dynamic* name
-    through this check as it is emitted. Span names are free-form and
-    never checked.
-    """
-    if name not in EVENT_ATTRS:
-        raise TraceSchemaError(
-            f"unregistered trace event {name!r}; register it in "
-            "repro.obs.schema.EVENT_ATTRS or fix the emitter "
-            "(see docs/static-analysis.md, rule RA005)"
-        )
 
 
 def validate_events(

@@ -38,7 +38,6 @@ event sequences *modulo the* ``ts`` *values* — the property the
 from __future__ import annotations
 
 import contextvars
-import os
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -46,25 +45,6 @@ from typing import Any, Callable, Dict, List, Optional
 EVENT = "event"
 SPAN_START = "span_start"
 SPAN_END = "span_end"
-
-#: Set to ``1`` to make every tracer reject unregistered event names at
-#: emission time (the runtime twin of the static RA005 rule); the
-#: check is resolved once per tracer at construction.
-STRICT_ENV_VAR = "REPRO_OBS_STRICT"
-
-
-def _strict_checker() -> Optional[Callable[[str], None]]:
-    """The strict-mode name check, or ``None`` when strict mode is off.
-
-    Imported lazily so the hot path pays nothing when strict mode is
-    disabled and module import order stays trivial.
-    """
-    if os.environ.get(STRICT_ENV_VAR, "").strip() != "1":
-        return None
-    from repro.obs.schema import assert_known
-
-    return assert_known
-
 
 class Span:
     """One traced region; use as a context manager.
@@ -145,7 +125,6 @@ class Tracer:
         self._origin = clock()
         self._cpu_clock = cpu_clock
         self._cpu_origin = cpu_clock()
-        self._assert_known = _strict_checker()
         self._counter = 0
         self._current: contextvars.ContextVar[Optional[int]] = (
             contextvars.ContextVar("repro_obs_span", default=None)
@@ -186,14 +165,7 @@ class Tracer:
         self.events.append(record)
 
     def event(self, name: str, **attrs: Any) -> None:
-        """Emit one point-in-time event under the current span.
-
-        In strict mode (``REPRO_OBS_STRICT=1`` at tracer construction)
-        the name must be registered in
-        :data:`repro.obs.schema.EVENT_ATTRS`.
-        """
-        if self._assert_known is not None:
-            self._assert_known(name)
+        """Emit one point-in-time event under the current span."""
         current = self._current.get()
         self._emit(self._now(), EVENT, name, current, current, attrs)
 

@@ -276,8 +276,9 @@ def build_golden() -> dict:
 # Posting-path digests
 # ---------------------------------------------------------------------------
 
-#: Every scenario pins the closure backend: ``pref.batch`` events and the
-#: ``backend``-labelled counters name it.
+#: Every scenario pins the closure backend: the ``pref.resolve`` and
+#: ``pref.apply_verdicts`` spans and the ``backend``-labelled counters
+#: name it.
 PINNED = CrowdSkyConfig(backend="numpy")
 PINNED_MULTIWAY = CrowdSkyConfig(backend="numpy", multiway=3)
 

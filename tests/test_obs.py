@@ -180,9 +180,12 @@ def _every_folded_record():
         emit("crowd.budget", budget=1, spent=1, requested=1, strict=False)
         emit("crowd.replayed")
         emit("journal.append", records=3)
-        emit("engine.batch", pairs=1, multiway=1, questions=1, saved=1)
+        with tracer.span("engine.ask_batch", pairs=1, multiway=1,
+                         questions=1, saved=1):
+            with tracer.span("pref.apply_verdicts", verdicts=1,
+                             backend="numpy", accepted=1):
+                pass
         emit("engine.tuple", t=0, outcome="skyline")
-        emit("pref.batch", verdicts=1, accepted=1, backend="numpy")
         emit("pref.totals", backend="numpy", cache_hits=1,
              closure_updates=1)
         emit("shard.stats", shipped=1, local_checks=1, merge_checks=1)
@@ -452,3 +455,11 @@ class TestCli:
         write_trace_jsonl(tracer.events, path)
         assert cli_main(["trace", "validate", path]) == 1
         assert "invalid:" in capsys.readouterr().err
+
+    def test_validate_rejects_unregistered_event_name(self, tmp_path, capsys):
+        tracer = Tracer()
+        tracer.event("crowd.rnd", round=1)
+        path = str(tmp_path / "typo.jsonl")
+        write_trace_jsonl(tracer.events, path)
+        assert cli_main(["trace", "validate", path]) == 1
+        assert "unknown event name 'crowd.rnd'" in capsys.readouterr().err

@@ -12,7 +12,8 @@ to what a posting reports, regenerate with ``make regen-golden`` and
 commit the diff.
 
 It also pins the trace's volume on two of the scenarios, which the
-digest alone would let grow unseen.
+digest alone would let grow unseen, and the trace's layout: each step
+of a posting is one span that carries its own counts.
 """
 
 import json
@@ -31,13 +32,25 @@ from tests.regen_golden import (
 
 #: Caps on the normalised trace of a scenario, set just above the
 #: recorded values: (records per posting, JSONL bytes per question).
-#: Recorded: 21.10 and 1301.0 for the serial run, 35.67 and 934.3 for
+#: Recorded: 10.62 and 686.5 for the serial run, 14.08 and 377.6 for
 #: the batched one. Raise a cap only for records that are meant to be
 #: added to every posting.
 TRACE_VOLUME_CAPS = {
-    "crowdsky[perfect]": (21.2, 1310.0),
-    "parallel_sl[noisy]": (35.7, 940.0),
+    "crowdsky[perfect]": (10.7, 690.0),
+    "parallel_sl[noisy]": (14.1, 380.0),
 }
+
+#: Records no posting emits: votes are kept by the journal, not the
+#: trace, and a batch's counts ride on its ``engine.ask_batch`` and
+#: ``pref.apply_verdicts`` spans.
+DELETED_RECORDS = frozenset(
+    {"crowd.vote", "engine.batch", "pref.batch", "engine.apply_answers"}
+)
+
+#: The entry points that run ``repro.core.crowdsky.Evaluation``.
+EVALUATION_SCHEDULERS = (
+    "crowdsky", "crowdsky_budgeted", "parallel_dset", "parallel_sl",
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +80,19 @@ def test_posting_outputs_match_fixture(digests, name):
     )
 
 
-@pytest.mark.parametrize("name", sorted(TRACE_VOLUME_CAPS))
-def test_trace_volume_stays_under_its_caps(name):
+def _traced(name):
+    """Run one posting scenario under a fresh observation; return its
+    result and trace."""
     with tempfile.TemporaryDirectory() as scratch:
         with observe() as observation:
             result, _ = POSTING_SCENARIOS[name](Path(scratch))
-    records = normalised_trace(observation.tracer.events)
+    return result, observation.tracer.events
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_VOLUME_CAPS))
+def test_trace_volume_stays_under_its_caps(name):
+    result, events = _traced(name)
+    records = normalised_trace(events)
     per_posting = len(records) / len(result.cost_records)
     jsonl_bytes = sum(
         len(json.dumps(record, separators=(",", ":"))) + 1
@@ -86,3 +106,39 @@ def test_trace_volume_stays_under_its_caps(name):
     assert per_question < byte_cap, (
         f"{name}: {per_question:.1f} JSONL bytes per question"
     )
+
+
+@pytest.mark.parametrize("name", sorted(POSTING_SCENARIOS))
+def test_each_posting_step_is_one_span(name):
+    _, events = _traced(name)
+    assert not DELETED_RECORDS & {record["name"] for record in events}
+    starts = {
+        record["span"]: record
+        for record in events
+        if record["kind"] == "span_start"
+    }
+
+    def ancestors(record):
+        names = set()
+        parent = record["parent"]
+        while parent is not None:
+            names.add(starts[parent]["name"])
+            parent = starts[parent]["parent"]
+        return names
+
+    evaluated = 0
+    for record in starts.values():
+        if record["name"] == "pref.apply_verdicts":
+            assert "accepted" in record["attrs"], name
+        if record["name"] in ("crowd.post", "pref.apply_verdicts"):
+            above = ancestors(record)
+            if "phase.evaluate" in above:
+                evaluated += 1
+                assert "engine.ask_batch" in above, (
+                    f"{name}: a {record['name']} span of the evaluate "
+                    "phase is outside every engine.ask_batch span"
+                )
+    # Every Evaluation scheduler posts its rounds in the evaluate phase.
+    assert bool(evaluated) == (
+        name.split("[")[0] in EVALUATION_SCHEDULERS
+    ), name
