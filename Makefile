@@ -25,8 +25,8 @@ test-robustness:
 test-obs:
 	pytest tests/test_obs.py -m obs -q
 
-# Preference-closure suite: backend differential, golden counts,
-# coverage floor and the perf smoke.
+# Preference-closure suite: the numpy-vs-reference graph differential,
+# golden counts, coverage floor and the perf smoke.
 test-pref:
 	pytest -m pref -q
 

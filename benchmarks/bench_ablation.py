@@ -3,7 +3,7 @@
 * Probe ordering: descending ``freq`` (the §3.4 prose, our default) vs
   ascending (Algorithm 1 line 11's literal wording).
 * Round-robin multi-``AC`` questioning (mentioned but unapplied in §6.1).
-* Contradiction policy bookkeeping under a noisy crowd.
+* First-answer-wins contradiction bookkeeping under a noisy crowd.
 """
 
 import numpy as np

@@ -4,7 +4,7 @@ These exercise the vectorized kernels that make Python-scale runs of the
 paper's grids feasible: the dominance matrix, the three skyline
 algorithms, skyline layers and the frequency oracle — plus the
 transitive-closure workloads of ``closure_cases`` replayed against both
-preference backends (the committed closure timings are the
+closure graphs (the committed closure timings are the
 ``closure_numpy_n*`` ids of ``crowdsky bench``).
 """
 
@@ -13,6 +13,10 @@ import pytest
 
 from closure_cases import N as CLOSURE_N
 from closure_cases import WORKLOADS, run_workload
+from repro.core.preference import (
+    NumpyPreferenceGraph,
+    ReferencePreferenceGraph,
+)
 from repro.skyline.bnl import bnl_skyline
 from repro.skyline.dnc import dnc_skyline
 from repro.skyline.dominance import dominance_matrix, skyline_mask
@@ -71,14 +75,20 @@ def test_frequency_matrix(benchmark, data):
     assert table.shape == (len(members), len(members))
 
 
-@pytest.mark.parametrize("backend", ["reference", "numpy"])
+@pytest.mark.parametrize(
+    "graph_class",
+    [ReferencePreferenceGraph, NumpyPreferenceGraph],
+    ids=lambda graph_class: graph_class.backend,
+)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_closure_workload(benchmark, workload, backend):
-    """Replay one closure workload (n=512) against one backend.
+def test_closure_workload(benchmark, workload, graph_class):
+    """Replay one closure workload (n=512) against one closure graph.
 
     The checksum covers every query result and accept/reject decision,
-    so the benchmark doubles as a check against the reference backend.
+    so the benchmark doubles as a check against the reference graph.
     """
     ops = WORKLOADS[workload]
-    checksum = benchmark(run_workload, ops, CLOSURE_N, backend)
-    assert checksum == run_workload(ops, CLOSURE_N, "reference")
+    checksum = benchmark(run_workload, ops, CLOSURE_N, graph_class)
+    assert checksum == run_workload(
+        ops, CLOSURE_N, ReferencePreferenceGraph
+    )

@@ -2,21 +2,23 @@
 
 Each workload is a flat list of ops — ``("answer", u, v, Preference)``
 or ``("query", u, v)`` — generated once from a fixed seed and replayed
-against a fresh :class:`~repro.core.preference.PreferenceGraph` per
-backend. Replaying returns a checksum over every query result and the
-accept/reject bit of every answer, so a run simultaneously measures
-speed *and* proves the two backends computed identical relations.
+against a fresh graph of each closure graph class
+(:class:`~repro.core.preference.NumpyPreferenceGraph` and
+:class:`~repro.core.preference.ReferencePreferenceGraph`). Replaying
+returns a checksum over every query result and the accept/reject bit of
+every answer, so a run simultaneously measures speed *and* proves the
+two graphs computed identical relations.
 
 Query density matters: after every crowd answer the schedulers
 re-check dominance for a batch of candidate pairs (``resolve_pairs``
 in ``engine.ask_batch``, the probe ladder in ``tasks.py``), so every
 mutation here is followed by ``QUERIES_PER_ANSWER`` seeded pair
-probes. The mixes exercise the cases that separate the backends:
+probes. The mixes exercise the cases that separate the graphs:
 
 * ``chain_probe`` — forward chain growth. Every insert invalidates
   the cached descendant sets of all ancestors, so the reference
-  backend re-runs a DFS per distinct probe source each round; the
-  numpy backend answers each probe with one bit test on a packed row.
+  graph re-runs a DFS per distinct probe source each round; the
+  numpy graph answers each probe with one bit test on a packed row.
 * ``reverse_chain`` — the chain built tip-first, the worst insert
   order for cache reuse: every new edge lands *above* all existing
   knowledge.
@@ -29,9 +31,9 @@ probes. The mixes exercise the cases that separate the backends:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Type
 
-from repro.core.preference import PreferenceGraph
+from repro.core.preference import _BasePreferenceGraph
 from repro.questions import Preference
 
 N = 512
@@ -123,9 +125,12 @@ _RELATION_CODE = {
 }
 
 
-def run_workload(ops: List[Op], n: int, backend: str) -> int:
-    """Replay ``ops`` on a fresh graph; return a result checksum."""
-    graph = PreferenceGraph(n, backend=backend)
+def run_workload(
+    ops: List[Op], n: int, graph_class: Type[_BasePreferenceGraph]
+) -> int:
+    """Replay ``ops`` on a fresh ``graph_class(n)``; return a result
+    checksum."""
+    graph = graph_class(n)
     checksum = 0
     for op in ops:
         if op[0] == "answer":

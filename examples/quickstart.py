@@ -100,11 +100,10 @@ def main() -> None:
         "--metrics on the CLI — to persist the artifacts."
     )
 
-    # Closure backends: all runs above used the default numpy-backed
-    # transitive closure. CrowdSkyConfig(backend="reference") — or
-    # REPRO_PREF_BACKEND=reference — selects the original cached-DFS
-    # implementation; results are guaranteed identical (see
-    # docs/performance.md).
+    # Closure graph: every run above kept its transitive closure in
+    # NumpyPreferenceGraph. The original cached-DFS implementation,
+    # ReferencePreferenceGraph, is the specification the tests hold it
+    # to, question for question (see docs/performance.md).
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from repro.core.crowdsky import (
     crowdsky_budgeted,
 )
 from repro.core.parallel import parallel_dset, parallel_sl
-from repro.core.preference import ContradictionPolicy, PreferenceSystem
+from repro.core.preference import PreferenceSystem
 from repro.core.result import CrowdSkylineResult
 from repro.core.resume import replay_run, resume_run
 from repro.core.unary import unary_skyline
@@ -102,7 +102,6 @@ __all__ = [
     "AttributeKind",
     "BernoulliWorker",
     "BudgetExhaustedError",
-    "ContradictionPolicy",
     "CrowdBackend",
     "CrowdSkyConfig",
     "CrowdSkyError",

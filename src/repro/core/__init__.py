@@ -15,27 +15,18 @@
 from repro.core.baseline import baseline_skyline
 from repro.core.crowdsky import CrowdSkyConfig, PruningLevel, crowdsky
 from repro.core.parallel import parallel_dset, parallel_sl
-from repro.core.preference import (
-    ContradictionPolicy,
-    PreferenceGraph,
-    PreferenceSystem,
-    ReferencePreferenceGraph,
-    default_backend,
-)
+from repro.core.preference import PreferenceSystem, ReferencePreferenceGraph
 from repro.core.result import CrowdSkylineResult
 from repro.core.unary import unary_skyline
 
 __all__ = [
-    "ContradictionPolicy",
     "CrowdSkyConfig",
     "CrowdSkylineResult",
-    "PreferenceGraph",
     "PreferenceSystem",
     "PruningLevel",
     "ReferencePreferenceGraph",
     "baseline_skyline",
     "crowdsky",
-    "default_backend",
     "parallel_dset",
     "parallel_sl",
     "unary_skyline",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -37,11 +37,6 @@ from repro.core.engine import (
     ensure_run_header,
     request_unresolved,
     visible_tuples,
-)
-from repro.core.preference import (
-    ContradictionPolicy,
-    check_backend,
-    default_backend,
 )
 from repro.core.result import CrowdSkylineResult
 from repro.core.tasks import TaskOutcome, TupleTask
@@ -75,15 +70,14 @@ class PruningLevel(enum.Enum):
 
 @dataclass(frozen=True)
 class CrowdSkyConfig:
-    """Execution options for CrowdSky and the parallel schedulers.
+    """Execution options for CrowdSky and the parallel schedulers: the
+    paper's ablations and extensions.
 
     Parameters
     ----------
     pruning:
         Which pruning methods are active (default: all, the full
         CrowdSky).
-    policy:
-        Contradiction handling for noisy crowds.
     ac_round_robin:
         Ask multi-attribute pairs one crowd attribute per round, skipping
         the rest once the pair's outcome is decided (the optional
@@ -98,26 +92,15 @@ class CrowdSkyConfig:
         Probe with m-ary questions showing up to this many tuples at
         once (the §2.1 extension; effective with P3 and ``|AC| = 1``).
         The default 2 keeps the paper's pairwise format.
-    backend:
-        Preference-closure backend: ``'numpy'`` (packed uint64 closure
-        matrices with a bulk query kernel, the fast default) or
-        ``'reference'`` (the original set-based implementation, kept as
-        the executable specification). None defers to the
-        ``REPRO_PREF_BACKEND`` environment variable. Both backends
-        produce identical questions, rounds and skylines — the
-        differential suite pins them together.
 
-    A ``multiway`` below 2 or an unknown ``backend`` name (or, with
-    ``backend=None``, an unknown ``REPRO_PREF_BACKEND``) raises
+    A ``multiway`` below 2 raises
     :class:`~repro.exceptions.CrowdSkyError` when the config is built.
     """
 
     pruning: PruningLevel = PruningLevel.P1_P2_P3
-    policy: ContradictionPolicy = ContradictionPolicy.KEEP_FIRST
     ac_round_robin: bool = False
     probe_ascending: bool = False
     multiway: int = 2
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         """Refuse an invalid config where it is built, so no entry point
@@ -127,30 +110,14 @@ class CrowdSkyConfig:
             raise CrowdSkyError(
                 f"multiway must be >= 2, got {self.multiway}"
             )
-        if self.backend is None:
-            # Read REPRO_PREF_BACKEND now; the payload keeps the None.
-            default_backend()
-        else:
-            check_backend(self.backend)
 
     def to_payload(self) -> dict:
         """JSON-able form, recorded in a run's journal header."""
         return {
             "pruning": self.pruning.value,
-            "policy": self.policy.value,
             "ac_round_robin": self.ac_round_robin,
             "probe_ascending": self.probe_ascending,
             "multiway": self.multiway,
-            "backend": self.backend,
-        }
-
-    def context_options(self) -> Dict[str, Any]:
-        """The :func:`~repro.core.engine.build_context` keywords this
-        config sets."""
-        return {
-            "policy": self.policy,
-            "ac_round_robin": self.ac_round_robin,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -159,15 +126,15 @@ class CrowdSkyConfig:
 
         Keys it does not read are ignored, so a header that still holds
         the three shard keys of the former sharded dominance matrix
-        resumes as a serial run, which asks the same questions.
+        resumes as a serial run, which asks the same questions, and one
+        that holds the former ``policy`` and ``backend`` keys resumes on
+        the one closure graph, where the first answer wins.
         """
         return cls(
             pruning=PruningLevel(payload["pruning"]),
-            policy=ContradictionPolicy(payload["policy"]),
             ac_round_robin=payload["ac_round_robin"],
             probe_ascending=payload["probe_ascending"],
             multiway=payload["multiway"],
-            backend=payload["backend"],
         )
 
 
@@ -310,10 +277,16 @@ class Evaluation:
 
         Budgeted runs pass ``budget_exhausted`` (whether the budget
         stopped the walk) and get ``complete_tuples`` counted; the other
-        runs leave it None.
+        runs leave it None. The pairs given up on are the pairwise keys
+        of the crowd's unresolved set, read once here.
         """
         context = self.context
         crowd = context.crowd
+        # Pairwise keys are (u, v, attribute); m-ary and unary keys
+        # have two parts.
+        unresolved = sorted(
+            key for key in crowd.unresolved_keys if len(key) == 3
+        )
         # The closure's memo-hit and update tallies are cumulative, so
         # they are traced once per run, here, off the hot path.
         prefs = context.prefs
@@ -336,8 +309,8 @@ class Evaluation:
             complete_tuples=(
                 None if budget_exhausted is None else len(self.complete)
             ),
-            degraded=stopped or context.degraded,
-            unresolved_pairs=sorted(context.unresolved_pairs),
+            degraded=stopped or bool(unresolved) or crowd.budget_degraded,
+            unresolved_pairs=unresolved,
             fault_stats=crowd.fault_stats,
             cost_records=list(crowd.cost_records),
         )
@@ -385,7 +358,10 @@ def crowdsky(
         "crowdsky", n=len(relation), pruning=config.pruning.value
     ) as span:
         context = build_context(
-            relation, crowd, visible_crowd=visible, **config.context_options()
+            relation,
+            crowd,
+            ac_round_robin=config.ac_round_robin,
+            visible_crowd=visible,
         )
         evaluation = Evaluation(context, config)
         with phase("evaluate"):
@@ -432,7 +408,7 @@ def crowdsky_budgeted(
     ) as span:
         try:
             context = build_context(
-                relation, crowd, **config.context_options()
+                relation, crowd, ac_round_robin=config.ac_round_robin
             )
         except BudgetExhaustedError:
             # Not even the degenerate-case preprocessing fit the budget.

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple as TupleT, Union
 
 import numpy as np
 
-from repro.core.preference import ContradictionPolicy, PreferenceSystem
+from repro.core.preference import PreferenceSystem
 from repro.core.tasks import MultiwayRequest, PairRequest
 from repro.crowd.platform import SimulatedCrowd
 from repro.questions import (
@@ -58,17 +58,6 @@ class ExecutionContext:
     frequency: FrequencyOracle
     removed: Set[int] = field(default_factory=set)
     ac_round_robin: bool = False
-    #: Question keys ``(u, v, attribute)`` the crowd permanently gave up
-    #: on (fault-tolerant runs) — treated conservatively as incomparable.
-    unresolved_pairs: Set[TupleT[int, int, int]] = field(
-        default_factory=set
-    )
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any question was given up on (pairs unresolved or the
-        budget ran out in non-strict mode)."""
-        return bool(self.unresolved_pairs) or self.crowd.budget_degraded
 
     @property
     def n(self) -> int:
@@ -189,19 +178,15 @@ def ensure_run_header(
 def build_context(
     relation: Relation,
     crowd: Optional[SimulatedCrowd] = None,
-    policy: ContradictionPolicy = ContradictionPolicy.KEEP_FIRST,
     ac_round_robin: bool = False,
     visible_crowd: Optional[Iterable[int]] = None,
-    backend: Optional[str] = None,
 ) -> ExecutionContext:
     """Prepare the machine-side structures and run the degenerate-case
     preprocessing (Algorithm 1 lines 1-3).
 
     ``visible_crowd`` lists tuples whose crowd values are stored rather
     than missing (the §2.2 partial-incompleteness extension); their
-    mutual preferences are seeded into ``T`` for free. ``backend``
-    selects the preference-closure implementation (``'numpy'`` |
-    ``'reference'``; None = the ``REPRO_PREF_BACKEND`` default).
+    mutual preferences are seeded into ``T`` for free.
 
     ``DS(t)`` is read off the dominance matrix, column by column, when
     a scheduler asks for it.
@@ -220,9 +205,7 @@ def build_context(
         observation = current_observation()
         tracer = observation.tracer if observation.enabled else None
         n = len(relation)
-        prefs = PreferenceSystem(
-            n, relation.schema.num_crowd, policy, backend=backend
-        )
+        prefs = PreferenceSystem(n, relation.schema.num_crowd)
         if visible_crowd is not None:
             edges = seed_visible_preferences(prefs, relation, visible_crowd)
             if tracer is not None:
@@ -251,7 +234,7 @@ def build_context(
             )
             order = np.argsort(sizes, kind="stable")
 
-        context = ExecutionContext(
+        return ExecutionContext(
             relation=relation,
             crowd=crowd,
             prefs=prefs,
@@ -263,12 +246,6 @@ def build_context(
             removed=removed,
             ac_round_robin=ac_round_robin,
         )
-    # Questions abandoned during preprocessing (non-strict faults) are
-    # already terminal; carry them into the context's unresolved set.
-    for key in crowd.unresolved_keys:
-        if len(key) == 3 and not isinstance(key[0], tuple):
-            context.unresolved_pairs.add(key)
-    return context
 
 
 def apply_answers(
@@ -276,8 +253,8 @@ def apply_answers(
     answers: Dict[PairwiseQuestion, Preference],
 ) -> None:
     """Fold aggregated round answers into the preference system as one
-    closure transaction (order preserved — acceptance under KEEP_FIRST
-    is order-sensitive)."""
+    closure transaction (order preserved — the first answer wins, so
+    acceptance is order-sensitive)."""
     prefs.apply_verdicts(
         [
             (question.left, question.right, question.attribute, answer)
@@ -303,18 +280,6 @@ def _request_decided(
     if has_left and has_right:
         return True  # certainly incomparable in AC
     return None not in rels
-
-
-def _note_unresolved(
-    context: ExecutionContext, questions: Iterable[PairwiseQuestion]
-) -> None:
-    """Record the asked questions the crowd permanently gave up on."""
-    crowd = context.crowd
-    if not crowd.stats.unresolved_questions:
-        return
-    for question in questions:
-        if crowd.is_unresolved(question):
-            context.unresolved_pairs.add(question.key())
 
 
 def request_unresolved(context: ExecutionContext, request: Request) -> bool:
@@ -448,7 +413,6 @@ def _ask_batch(
     rounds_before = context.crowd.stats.rounds
     for posting in postings:
         apply_answers(prefs, context.crowd.ask_pairwise_round(posting))
-        _note_unresolved(context, posting)
         if len(postings) > 1 and _request_decided(prefs, pair_requests[0]):
             break
     if multiway:

@@ -79,9 +79,7 @@ def _run(
     with run_span(
         scheduler, n=len(relation), pruning=config.pruning.value
     ) as span:
-        context = build_context(
-            relation, crowd, visible_crowd=visible, **config.context_options()
-        )
+        context = build_context(relation, crowd, visible_crowd=visible)
         evaluation = Evaluation(context, config)
         policy(evaluation)
         result = evaluation.result(f"{label}[{config.pruning.value}]")

@@ -8,31 +8,26 @@ union-find, and edges connect class representatives.
 
 Noisy crowds can produce answers that contradict earlier (transitively
 derived) knowledge — e.g. three questions of one parallel round forming a
-cycle. The paper does not discuss this case; the default
-:attr:`ContradictionPolicy.KEEP_FIRST` keeps ``T`` acyclic by rejecting
-the newcomer (first-arrival wins), and :attr:`ContradictionPolicy.RAISE`
-turns contradictions into errors for the perfect-crowd setting.
+cycle. The paper does not discuss this case; the first answer wins:
+``T`` stays acyclic by rejecting the newcomer, and the rejection is
+counted in ``rejected_answers``.
 
-Two interchangeable backends implement the graph:
+Two graphs implement the closure:
 
-* :class:`ReferencePreferenceGraph` — the original per-node
-  ``Dict[int, Set[int]]`` adjacency with memoized DFS reachability.
-  Kept as the executable specification; its descendant cache is
-  invalidated *exactly* (only nodes whose reachable set can change).
 * :class:`NumpyPreferenceGraph` — reachability as packed bit rows, one
   per tie class, in ``(n, ceil(n/64))`` uint64 matrices, with
   **incremental** transitive-closure maintenance: an edge insert is one
   masked ``|=`` broadcast over every affected class row and tie merges
   are row ORs plus row retirement. Its
   :meth:`~NumpyPreferenceGraph.relations_batch` answers whole arrays of
-  pair queries in one gather — the default production backend.
-
-Select the backend with the ``backend=`` constructor flag of
-:func:`PreferenceGraph` / :class:`PreferenceSystem`, or globally with
-the ``REPRO_PREF_BACKEND`` environment variable (``numpy`` |
-``reference``). The differential suite
-(``tests/test_preference_differential.py``) pins the two backends to
-bit-for-bit identical observable state.
+  pair queries in one gather. Every run is built on it.
+* :class:`ReferencePreferenceGraph` — the original per-node
+  ``Dict[int, Set[int]]`` adjacency with memoized DFS reachability.
+  Kept as the executable specification; its descendant cache is
+  invalidated *exactly* (only nodes whose reachable set can change).
+  The tests pass it to :class:`PreferenceSystem` as its ``graph``, and
+  the differential suite (``tests/test_preference_differential.py``)
+  pins the two graphs to bit-for-bit identical observable state.
 
 :class:`PreferenceSystem` bundles ``|AC|`` graphs and provides the
 AC-level dominance tests used by the pruning rules (Corollaries 1-2,
@@ -45,45 +40,12 @@ crowd round instead of one closure touch per answer.
 
 from __future__ import annotations
 
-import enum
-import os
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
 import numpy as np
 
 from repro.questions import Preference
-from repro.exceptions import CrowdSkyError, PreferenceConflictError
 from repro.obs import current_observation
-
-#: Environment variable selecting the default preference backend.
-BACKEND_ENV_VAR = "REPRO_PREF_BACKEND"
-
-#: Recognised backend names.
-BACKEND_NUMPY = "numpy"
-BACKEND_REFERENCE = "reference"
-
-#: All recognised backend names, fastest first.
-BACKEND_NAMES = (BACKEND_NUMPY, BACKEND_REFERENCE)
-
-
-def default_backend() -> str:
-    """The backend name selected by ``REPRO_PREF_BACKEND`` (default
-    ``numpy``)."""
-    name = os.environ.get(BACKEND_ENV_VAR, BACKEND_NUMPY).strip().lower()
-    if name not in BACKEND_NAMES:
-        raise CrowdSkyError(
-            f"unknown preference backend {name!r} in ${BACKEND_ENV_VAR}; "
-            f"expected one of {', '.join(repr(b) for b in BACKEND_NAMES)}"
-        )
-    return name
-
-
-class ContradictionPolicy(enum.Enum):
-    """What to do when a new answer contradicts derived knowledge."""
-
-    KEEP_FIRST = "keep_first"
-    RAISE = "raise"
-
 
 #: :meth:`_BasePreferenceGraph.relations_batch` code → relation.
 RELATION_CODES: Tuple[Optional[Preference], ...] = (
@@ -102,19 +64,15 @@ class _BasePreferenceGraph:
     Subclasses implement the reachability/closure layer through
     ``_reaches``, ``_add_edge`` and ``_merge_closure`` hooks. All
     observable state (relations, tie classes, rejected-answer counts,
-    direct edges) is backend-independent — the differential test suite
-    enforces this.
+    direct edges) is the same in every subclass — the differential test
+    suite enforces this. ``backend`` names the subclass on the closure's
+    trace records.
     """
 
     backend = "abstract"
 
-    def __init__(
-        self,
-        n: int,
-        policy: ContradictionPolicy = ContradictionPolicy.KEEP_FIRST,
-    ):
+    def __init__(self, n: int):
         self._n = n
-        self._policy = policy
         self._parent = list(range(n))
         self._out: Dict[int, Set[int]] = {}
         self._in: Dict[int, Set[int]] = {}
@@ -160,7 +118,7 @@ class _BasePreferenceGraph:
         self._merge_closure(keep, drop)
         return keep
 
-    # -- closure hooks (backend-specific) --------------------------------
+    # -- closure hooks (per graph) ---------------------------------------
 
     def _reaches(self, source: int, target: int) -> bool:
         """Is ``source ≺ target`` derivable (transitively)? Arguments are
@@ -204,18 +162,14 @@ class _BasePreferenceGraph:
         """Record an aggregated crowd answer for the pair ``(u, v)``.
 
         Returns True when the answer was incorporated, False when it was
-        rejected for contradicting derived knowledge (KEEP_FIRST policy).
+        rejected for contradicting derived knowledge (the first answer
+        wins).
         """
         known = self.relation(u, v)
         if known is not None:
             if known is answer:
                 return True
             self.rejected_answers += 1
-            if self._policy is ContradictionPolicy.RAISE:
-                raise PreferenceConflictError(
-                    f"answer {answer.value} for ({u}, {v}) contradicts "
-                    f"derived relation {known.value}"
-                )
             return False
         self.version += 1
         if answer is Preference.EQUAL:
@@ -244,7 +198,7 @@ class _BasePreferenceGraph:
         """Class representatives of an array of tuple indices.
 
         This union-find walk per node is the specification; the numpy
-        backend overrides it with one gather."""
+        graph overrides it with one gather."""
         find = self._find
         return np.fromiter(
             (find(int(x)) for x in nodes), dtype=np.int64, count=len(nodes)
@@ -257,7 +211,7 @@ class _BasePreferenceGraph:
 
         Returns an int8 array: 0 = unknown, 1 = LEFT (``u`` preferred),
         2 = RIGHT, 3 = EQUAL — see :data:`RELATION_CODES`. This loop
-        over :meth:`relation` is the specification; a backend with
+        over :meth:`relation` is the specification; a graph with
         packed closure rows overrides it with one gather.
         """
         relation = self.relation
@@ -269,7 +223,7 @@ class _BasePreferenceGraph:
 
 
 class ReferencePreferenceGraph(_BasePreferenceGraph):
-    """The original set-based backend — kept as executable specification.
+    """The original set-based graph — kept as executable specification.
 
     Descendant sets are memoized per representative. Invalidation is
     *exact*: a mutation of class ``r`` only clears cached sets that can
@@ -278,14 +232,10 @@ class ReferencePreferenceGraph(_BasePreferenceGraph):
     which made closure maintenance quadratic-plus on long runs).
     """
 
-    backend = BACKEND_REFERENCE
+    backend = "reference"
 
-    def __init__(
-        self,
-        n: int,
-        policy: ContradictionPolicy = ContradictionPolicy.KEEP_FIRST,
-    ):
-        super().__init__(n, policy)
+    def __init__(self, n: int):
+        super().__init__(n)
         self._descendants: Dict[int, Set[int]] = {}
 
     def _invalidate(self, *roots: int) -> None:
@@ -357,14 +307,10 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
     the tier-1 suite pins it to the committed ``crowd-scale`` record.
     """
 
-    backend = BACKEND_NUMPY
+    backend = "numpy"
 
-    def __init__(
-        self,
-        n: int,
-        policy: ContradictionPolicy = ContradictionPolicy.KEEP_FIRST,
-    ):
-        super().__init__(n, policy)
+    def __init__(self, n: int):
+        super().__init__(n)
         self._words = words = max(1, (n + 63) >> 6)
         self._desc = np.zeros((n, words), dtype=np.uint64)
         self._anc = np.zeros((n, words), dtype=np.uint64)
@@ -479,39 +425,6 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
         return codes
 
 
-#: Backend name → graph class.
-GRAPH_BACKENDS = {
-    BACKEND_NUMPY: NumpyPreferenceGraph,
-    BACKEND_REFERENCE: ReferencePreferenceGraph,
-}
-
-
-def PreferenceGraph(
-    n: int,
-    policy: ContradictionPolicy = ContradictionPolicy.KEEP_FIRST,
-    backend: Optional[str] = None,
-):
-    """Build a preference graph with the selected backend.
-
-    ``backend`` is ``'numpy'`` or ``'reference'``; None
-    falls back to the ``REPRO_PREF_BACKEND`` environment variable, then
-    ``'numpy'``. (Factory function — kept callable like the historical
-    class so existing ``PreferenceGraph(n)`` call sites are unaffected.)
-    """
-    name = backend if backend is not None else default_backend()
-    check_backend(name)
-    return GRAPH_BACKENDS[name](n, policy)
-
-
-def check_backend(name: str) -> None:
-    """Raise :class:`CrowdSkyError` unless ``name`` is a backend."""
-    if name not in GRAPH_BACKENDS:
-        raise CrowdSkyError(
-            f"unknown preference backend {name!r}; expected one of "
-            f"{', '.join(repr(b) for b in BACKEND_NAMES)}"
-        )
-
-
 #: A pair's derivable relation on every crowd attribute (None = unknown).
 PairRelations = Tuple[Optional[Preference], ...]
 
@@ -539,25 +452,24 @@ class PreferenceSystem:
     lazily via the graphs' mutation counters, so bursts of dominance
     tests between crowd answers (``sky_ac``, probing, Q(t) checks) hit
     the closure at most once per pair.
+
+    ``graph`` is the class of the per-attribute graphs. The program
+    always builds :class:`NumpyPreferenceGraph`; the tests pass
+    :class:`ReferencePreferenceGraph`, the specification.
     """
 
     def __init__(
         self,
         n: int,
         num_attributes: int,
-        policy: ContradictionPolicy = ContradictionPolicy.KEEP_FIRST,
-        backend: Optional[str] = None,
+        graph: Type[_BasePreferenceGraph] = NumpyPreferenceGraph,
     ):
         if num_attributes < 1:
             raise ValueError("need at least one crowd attribute")
         self._n = n
-        self.backend = (
-            backend if backend is not None else default_backend()
-        )
-        self.graphs = [
-            PreferenceGraph(n, policy, backend=self.backend)
-            for _ in range(num_attributes)
-        ]
+        #: The graph class's name, stamped on the closure's spans.
+        self.backend = graph.backend
+        self.graphs = [graph(n) for _ in range(num_attributes)]
         self._memo: Dict[Tuple[int, int], PairRelations] = {}
         self._memo_version = 0
         #: Pair lookups answered from the memo — exported as the
@@ -607,11 +519,11 @@ class PreferenceSystem:
         closure at once instead of re-querying pair by pair.
 
         Duplicate and symmetric pairs are collapsed before the closure
-        is touched: memo-served pairs never reach the backend, and of an
+        is touched: memo-served pairs never reach the graphs, and of an
         ``(u, v)`` / ``(v, u)`` twin only one orientation is computed
         (the other is its flip). The remaining misses resolve through
         one :meth:`~_BasePreferenceGraph.relations_batch` call per
-        attribute — a single gather under the numpy backend. Under an
+        attribute — a single gather on the numpy graph. Under an
         active trace each pass is one ``pref.resolve`` span, so the
         profiler can set closure time against crowd time.
         """
@@ -676,9 +588,9 @@ class PreferenceSystem:
         transaction.
 
         ``batch`` is an iterable of ``(left, right, attribute, answer)``
-        tuples. Verdicts are applied strictly in the given order — under
-        :attr:`ContradictionPolicy.KEEP_FIRST` acceptance is
-        order-sensitive, so the transaction never reorders answers; what
+        tuples. Verdicts are applied strictly in the given order — the
+        first answer wins, so acceptance is order-sensitive and the
+        transaction never reorders answers; what
         it batches is everything *around* the per-edge closure update:
         one ``pref.apply_verdicts`` span (whose ``verdicts`` fold into
         the ``crowdsky_closure_batch_size`` histogram, and which carries
@@ -778,9 +690,9 @@ class PreferenceSystem:
 
         The evaluate phase calls this once per batch of activations,
         one group per tuple's ``DS(t)``; multiway probing calls it with
-        one group. The numpy backend takes the vectorized
+        one group. The numpy graph takes the vectorized
         :meth:`_sky_ac_numpy` over all groups at once; the reference
-        backend runs :meth:`_sky_ac_pairs`, the specification the
+        graph runs :meth:`_sky_ac_pairs`, the specification the
         differential suite holds the kernel to, once per group.
         """
         if isinstance(self.graphs[0], NumpyPreferenceGraph):
@@ -814,7 +726,7 @@ class PreferenceSystem:
         self, groups: Sequence[Sequence[int]]
     ) -> List[List[int]]:
         """Vectorized ``SKY_AC`` of every group at once, for any
-        ``|AC|`` (numpy backend).
+        ``|AC|`` (numpy graph).
 
         The members of all groups of two or more are laid end to end. A
         member ``v`` is dominated when some other member of its group is
@@ -891,9 +803,9 @@ class PreferenceSystem:
         can prune the other, and since a derived relation is never
         retracted, it stays so. Every other pair is open. With one
         crowd attribute no pair can be settled, so every pair is open
-        and the closure is not read. The numpy backend tests all
+        and the closure is not read. The numpy graph tests all
         ``k × k`` member bits at once (:meth:`_settled_numpy`); the
-        reference backend runs the pair loop (:meth:`_settled_pairs`),
+        reference graph runs the pair loop (:meth:`_settled_pairs`),
         the specification.
         """
         index = np.arange(len(members))
@@ -922,7 +834,7 @@ class PreferenceSystem:
 
     def _settled_numpy(self, members: Sequence[int]) -> np.ndarray:
         """The ``k × k`` settled-pair mask of ``members`` (numpy
-        backend).
+        graph).
 
         Per attribute one gather of the members' closure bits out of
         their roots' descendant rows gives ``below[a, b]``: member ``b``

@@ -191,13 +191,12 @@ class SimulatedCrowd:
         :mod:`repro.crowd.journal` and ``docs/durability.md``. Disabled
         (``None``) by default — the hooks then cost one ``is None``
         check per posting.
-    backend:
-        Optional :class:`~repro.crowd.backends.CrowdBackend` answering
-        the postings; defaults to a fresh
-        :class:`~repro.crowd.backends.SimulatedBackend` over ``pool`` /
-        ``voting`` / ``rng`` / ``faults``. Pass a
-        :class:`~repro.crowd.backends.ReplayBackend` to serve a
-        journaled run.
+
+    A fresh :class:`~repro.crowd.backends.SimulatedBackend` over
+    ``pool`` / ``voting`` / ``rng`` / ``faults`` answers the postings;
+    the resume path swaps in a
+    :class:`~repro.crowd.backends.ReplayBackend` with
+    :meth:`install_backend`.
     """
 
     def __init__(
@@ -213,7 +212,6 @@ class SimulatedCrowd:
         retry: Optional[RetryPolicy] = None,
         strict: Optional[bool] = None,
         journal: Union[JournalWriter, str, Path, None] = None,
-        backend: Optional[CrowdBackend] = None,
     ):
         if rng is not None and seed is not None:
             raise CrowdPlatformError("pass either seed or rng, not both")
@@ -227,15 +225,13 @@ class SimulatedCrowd:
         self._faults = faults
         self._retry = retry
         self._strict = strict
-        if backend is None:
-            backend = SimulatedBackend(
-                oracle=self._oracle,
-                pool=self._pool,
-                voting=self._voting,
-                rng=self._rng,
-                faults=faults,
-            )
-        self._backend = backend
+        self._backend: CrowdBackend = SimulatedBackend(
+            oracle=self._oracle,
+            pool=self._pool,
+            voting=self._voting,
+            rng=self._rng,
+            faults=faults,
+        )
         if journal is not None and not isinstance(journal, JournalWriter):
             journal = JournalWriter(journal)
         self._journal = journal

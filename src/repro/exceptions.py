@@ -66,10 +66,6 @@ class JournalReplayError(JournalError):
     mode runs past the recorded postings."""
 
 
-class PreferenceConflictError(CrowdSkyError):
-    """An answer would make the preference graph inconsistent (cycle)."""
-
-
 class QueryError(CrowdSkyError):
     """Base class for errors in the SKYLINE OF query language."""
 

@@ -24,12 +24,11 @@ byte-identical (records are only comparable per id):
   candidate counts ride along as ``machine_shipped_n*`` pseudo-
   benchmarks (deterministic counts, not seconds), so the committed
   baseline also pins merge traffic at O(skyline).
-* ``crowd-scale`` — the crowd-phase backend curve
-  (docs/performance.md): end-to-end CrowdSky per closure backend at
-  n=1k/5k/10k/20k (slow backends capped per
-  :data:`CROWD_SCALE_BACKENDS`), plus deterministic
+* ``crowd-scale`` — the crowd-phase curve (docs/performance.md):
+  end-to-end CrowdSky at n=1k/5k/10k/20k, plus deterministic
   ``crowd_closure_updates_*`` pseudo-benchmarks pinning the closure
-  maintenance work of every backend — tens of minutes per repeat.
+  maintenance work of both closure graphs — tens of minutes per
+  repeat.
 
 Workload determinism: every benchmark is seeded, so two runs on one
 machine time the *same* computation. The only wall-clock reads are the
@@ -48,12 +47,18 @@ import statistics
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, Type, Union,
+)
 
 import numpy as np
 
-from repro.core.crowdsky import CrowdSkyConfig, crowdsky
-from repro.core.preference import BACKEND_NAMES, PreferenceGraph
+from repro.core.crowdsky import crowdsky
+from repro.core.preference import (
+    NumpyPreferenceGraph,
+    ReferencePreferenceGraph,
+    _BasePreferenceGraph,
+)
 from repro.questions import Preference
 from repro.data.synthetic import generate_synthetic
 from repro.exceptions import ExperimentError
@@ -113,8 +118,8 @@ def _closure_ops(n: int, seed: int = 0) -> List[Tuple]:
 
 
 def _replay_closure(ops: Sequence[Tuple], n: int) -> float:
-    """Replay a closure workload on the numpy backend; returns seconds."""
-    graph = PreferenceGraph(n, backend="numpy")
+    """Replay a closure workload on the numpy graph; returns seconds."""
+    graph = NumpyPreferenceGraph(n)
     start = time.perf_counter()
     for op in ops:
         if op[0] == "answer":
@@ -157,44 +162,23 @@ def _time_crowdsky(n: int) -> Dict[str, float]:
     return {"crowdsky_e2e_n%d" % n: time.perf_counter() - start}
 
 
-#: ``crowd-scale`` backend matrix per ``n``. The reference backend is
-#: capped past n=5k, where one repeat would run tens of minutes; the
-#: numpy backend carries the curve to n=20k alone. The cap is
-#: deliberate and documented (docs/performance.md) — it is the
-#: measurement of *why* numpy is the default, not an attempt to hide
-#: the comparison.
-CROWD_SCALE_BACKENDS: Dict[int, Tuple[str, ...]] = {
-    1_000: ("numpy", "reference"),
-    5_000: ("numpy", "reference"),
-    10_000: ("numpy",),
-    20_000: ("numpy",),
-}
-
-
 def _time_crowd_e2e(n: int) -> Dict[str, float]:
-    """End-to-end serial CrowdSky at one ``n``, per closure backend.
+    """End-to-end serial CrowdSky at one ``n``.
 
     Same seeded workload as ``crowdsky_e2e_n*`` (so the numbers are
-    directly comparable with the historical trajectory), but the
-    backend is pinned explicitly per id — the committed crowd-scale
-    baseline is the cross-backend speedup evidence.
+    directly comparable with the historical trajectory). The id keeps
+    the ``numpy`` name of the closure graph every run is built on.
     """
     relation = generate_synthetic(n, 2, 2, seed=7)
-    out: Dict[str, float] = {}
-    for backend in CROWD_SCALE_BACKENDS[n]:
-        config = CrowdSkyConfig(backend=backend)
-        start = time.perf_counter()
-        crowdsky(relation, config=config)
-        out["crowd_e2e_%s_n%d" % (backend, n)] = (
-            time.perf_counter() - start
-        )
-    return out
+    start = time.perf_counter()
+    crowdsky(relation)
+    return {"crowd_e2e_numpy_n%d" % n: time.perf_counter() - start}
 
 
-def _closure_updates(n: int, backend: str) -> int:
-    """``closure_updates`` of one backend after replaying the seeded
-    ``random_dag`` closure mix (seed 3) at ``n``."""
-    graph = PreferenceGraph(n, backend=backend)
+def _closure_updates(n: int, graph_class: Type[_BasePreferenceGraph]) -> int:
+    """``closure_updates`` of one closure graph after replaying the
+    seeded ``random_dag`` closure mix (seed 3) at ``n``."""
+    graph = graph_class(n)
     for op in _closure_ops(n, seed=3):
         if op[0] == "answer":
             graph.add_answer(op[1], op[2], op[3])
@@ -204,17 +188,17 @@ def _closure_updates(n: int, backend: str) -> int:
 
 
 def _count_closure_updates(n: int) -> Dict[str, float]:
-    """Deterministic closure-update counts per backend (pseudo-bench).
+    """Deterministic closure-update counts per graph (pseudo-bench).
 
-    Records each backend's :func:`_closure_updates` in the ``median_s``
+    Records each graph's :func:`_closure_updates` in the ``median_s``
     slot — a count, not seconds, so the committed baseline pins closure
     maintenance *work* exactly (machine-independent).
     """
     return {
-        "crowd_closure_updates_%s_n%d" % (backend, n): float(
-            _closure_updates(n, backend)
+        "crowd_closure_updates_%s_n%d" % (graph.backend, n): float(
+            _closure_updates(n, graph)
         )
-        for backend in BACKEND_NAMES
+        for graph in (NumpyPreferenceGraph, ReferencePreferenceGraph)
     }
 
 

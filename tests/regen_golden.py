@@ -6,15 +6,16 @@ new pruning rule that legitimately alters question counts. The golden
 test (``tests/test_golden_counts.py``) fails on any drift in questions,
 rounds, skylines, rejected answers, budget fields, the question log or
 the cost records across a small seeded matrix of (dataset × scheduler ×
-preference backend).
+closure graph); the reference graph runs through
+:func:`tests.closure_graphs.closure_graph`.
 
 The matrix is deliberately tiny: it is a drift tripwire, not a
 benchmark. Beside the default configuration with a perfect crowd it
 holds :func:`extra_cases`: the budgeted scheduler, every pruning level,
 m-ary probing, round-robin asking and noisy and fault-injecting crowds,
 so a change to the scheduler loops cannot move any of them unseen.
-Cross-backend agreement is additionally asserted at generation time, so
-a broken backend cannot be baked into the fixture.
+Cross-graph agreement is additionally asserted at generation time, so
+a broken graph cannot be baked into the fixture.
 
 The same run writes ``tests/fixtures/posting_digests.json``
 (``tests/test_posting_digests.py``): per :data:`POSTING_SCENARIOS` run,
@@ -58,12 +59,14 @@ from repro.crowd.workers import WorkerPool
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.data.toy import figure1_dataset
 from repro.obs import observe
+from tests.closure_graphs import closure_graph
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "golden_counts.json"
 POSTING_DIGESTS_PATH = (
     Path(__file__).parent / "fixtures" / "posting_digests.json"
 )
 
+#: The closure graphs each golden case runs on, by name.
 BACKENDS = ("reference", "numpy")
 
 SCHEDULERS = {
@@ -195,12 +198,17 @@ def run_case(
     budget: int = 0,
     **options,
 ) -> dict:
-    config = CrowdSkyConfig(backend=backend, **options)
+    config = CrowdSkyConfig(**options)
     platform = CROWDS[crowd](relation)
-    if scheduler_name == BUDGETED:
-        result = crowdsky_budgeted(relation, budget, platform, config=config)
-    else:
-        result = SCHEDULERS[scheduler_name](relation, platform, config=config)
+    with closure_graph(backend):
+        if scheduler_name == BUDGETED:
+            result = crowdsky_budgeted(
+                relation, budget, platform, config=config
+            )
+        else:
+            result = SCHEDULERS[scheduler_name](
+                relation, platform, config=config
+            )
     return {
         "questions": result.stats.questions,
         "rounds": result.stats.rounds,
@@ -233,7 +241,7 @@ def _agreeing(key: str, per_backend: dict) -> dict:
         for backend in BACKENDS
     ):
         raise SystemExit(
-            f"backend drift while regenerating golden counts: "
+            f"closure graph drift while regenerating golden counts: "
             f"{key}: {per_backend}"
         )
     return per_backend
@@ -276,11 +284,7 @@ def build_golden() -> dict:
 # Posting-path digests
 # ---------------------------------------------------------------------------
 
-#: Every scenario pins the closure backend: the ``pref.resolve`` and
-#: ``pref.apply_verdicts`` spans and the ``backend``-labelled counters
-#: name it.
-PINNED = CrowdSkyConfig(backend="numpy")
-PINNED_MULTIWAY = CrowdSkyConfig(backend="numpy", multiway=3)
+MULTIWAY = CrowdSkyConfig(multiway=3)
 
 #: A scenario runs one algorithm under an active observation and
 #: returns its result and the crowd's HIT ledger (or None). It gets a
@@ -331,7 +335,7 @@ def _faulty_crowd(
     )
 
 
-def _serial(crowd_factory, config=PINNED, relation_factory=_ind_ac2):
+def _serial(crowd_factory, config=None, relation_factory=_ind_ac2):
     def scenario(_scratch):
         relation = relation_factory()
         return crowdsky(relation, crowd_factory(relation), config=config), None
@@ -342,10 +346,10 @@ def _faulty_serial_with_ledger(_scratch):
     relation = _ind_ac2()
     ledger = HitLedger(seed=19)
     crowd = _faulty_crowd(relation, RETRY_DEADLINE, ledger=ledger)
-    return crowdsky(relation, crowd, config=PINNED), ledger
+    return crowdsky(relation, crowd), ledger
 
 
-def _budgeted(strict: bool, config=PINNED, relation_factory=_ind_ac2):
+def _budgeted(strict: bool, config=None, relation_factory=_ind_ac2):
     def scenario(_scratch):
         relation = relation_factory()
         crowd = SimulatedCrowd(relation, strict=strict)
@@ -356,7 +360,7 @@ def _budgeted(strict: bool, config=PINNED, relation_factory=_ind_ac2):
 def _faulty_dset(_scratch):
     relation = _ind_ac2()
     crowd = _faulty_crowd(relation, RETRY_ATTEMPTS)
-    return parallel_dset(relation, crowd, config=PINNED), None
+    return parallel_dset(relation, crowd), None
 
 
 def _journaled_dset(scratch):
@@ -365,7 +369,7 @@ def _journaled_dset(scratch):
         relation, RETRY_ATTEMPTS, journal=scratch / "journal"
     )
     try:
-        return parallel_dset(relation, crowd, config=PINNED), None
+        return parallel_dset(relation, crowd), None
     finally:
         crowd.journal.close()
 
@@ -380,14 +384,14 @@ def _replayed_dset(scratch):
 
 def _noisy_sl(_scratch):
     relation = _ant()
-    return parallel_sl(relation, _noisy_crowd(relation), config=PINNED), None
+    return parallel_sl(relation, _noisy_crowd(relation)), None
 
 
 def _multiway_sl_with_ledger(_scratch):
     relation = _ant()
     ledger = HitLedger(seed=19)
     crowd = _noisy_crowd(relation, ledger=ledger)
-    return parallel_sl(relation, crowd, config=PINNED_MULTIWAY), ledger
+    return parallel_sl(relation, crowd, config=MULTIWAY), ledger
 
 
 def _unary(_scratch):
@@ -414,13 +418,13 @@ POSTING_SCENARIOS: Dict[str, Scenario] = {
     "crowdsky_budgeted[strict]": _budgeted(strict=True),
     "crowdsky_budgeted[non_strict]": _budgeted(strict=False),
     "crowdsky_budgeted[non_strict,multiway=3]": _budgeted(
-        strict=False, config=PINNED_MULTIWAY, relation_factory=_ant
+        strict=False, config=MULTIWAY, relation_factory=_ant
     ),
     "crowdsky[round_robin]": _serial(
-        SimulatedCrowd, CrowdSkyConfig(backend="numpy", ac_round_robin=True)
+        SimulatedCrowd, CrowdSkyConfig(ac_round_robin=True)
     ),
     "crowdsky[multiway=3,noisy]": _serial(
-        _noisy_crowd, PINNED_MULTIWAY, relation_factory=_ant
+        _noisy_crowd, MULTIWAY, relation_factory=_ant
     ),
     "parallel_dset[faulty]": _faulty_dset,
     "parallel_dset[faulty,journaled]": _journaled_dset,

@@ -33,17 +33,12 @@ import pytest
 
 import repro.core.preference as pref
 from repro.core.preference import (
-    BACKEND_NAMES,
-    ContradictionPolicy,
     NumpyPreferenceGraph,
-    PreferenceGraph,
     PreferenceSystem,
     ReferencePreferenceGraph,
     _BasePreferenceGraph,
-    default_backend,
 )
 from repro.questions import Preference
-from repro.exceptions import CrowdSkyError, PreferenceConflictError
 from repro.obs import observe
 from repro.obs.metrics import CLOSURE_BATCH_SIZE
 
@@ -185,12 +180,14 @@ def _outcomes(site, executed, arcs, returns) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# The exercise: every behaviour of the module, both backends
+# The exercise: every behaviour of the module, both closure graphs
 # ---------------------------------------------------------------------------
 
+GRAPHS = (NumpyPreferenceGraph, ReferencePreferenceGraph)
 
-def _exercise_graph(backend):
-    graph = PreferenceGraph(8, backend=backend)
+
+def _exercise_graph(graph_class):
+    graph = graph_class(8)
     # direct answers, all three kinds, both orientations
     assert graph.add_answer(0, 1, L)
     assert graph.add_answer(2, 1, R)  # reversed edge 1 -> 2
@@ -217,13 +214,6 @@ def _exercise_graph(backend):
     assert graph.relation(6, 7) is R
     assert sorted(graph.edges())
     assert graph.class_of(4) == graph.class_of(5)
-    # RAISE policy
-    strict = PreferenceGraph(
-        3, policy=ContradictionPolicy.RAISE, backend=backend
-    )
-    strict.add_answer(0, 1, L)
-    with pytest.raises(PreferenceConflictError):
-        strict.add_answer(0, 1, R)
     return graph
 
 
@@ -268,17 +258,17 @@ def _exercise_numpy_internals():
     # merge of two isolated nodes: empty broadcast on both sides
     graph.add_answer(5, 6, E)
     assert graph.relation(5, 6) is E
-    # the documented backend hook, including the refresh sentinel
+    # the documented closure hook, including the refresh sentinel
     assert graph._reaches(0, 65) and not graph._reaches(65, 0)
     assert graph._reaches(0, -1) is False
     # degenerate empty graph: no identity bits
     assert NumpyPreferenceGraph(0).find_roots([]).size == 0
 
 
-def _exercise_bulk_kernels(backend):
+def _exercise_bulk_kernels(graph_class):
     """find_roots/relations_batch: the base-class loop (reference) and
     the numpy gather, with > 64 nodes so packed rows span two words."""
-    graph = PreferenceGraph(70, backend=backend)
+    graph = graph_class(70)
     graph.add_answer(0, 1, L)
     graph.add_answer(1, 65, L)
     graph.add_answer(3, 4, L)
@@ -290,8 +280,8 @@ def _exercise_bulk_kernels(backend):
     ) == [1, 2, 3, 0]
 
 
-def _exercise_transactions(backend):
-    system = PreferenceSystem(8, 2, backend=backend)
+def _exercise_transactions(graph_class):
+    system = PreferenceSystem(8, 2, graph=graph_class)
     assert system.apply_verdicts([]) == 0
     # list input, one contradicting verdict rejected mid-batch
     assert system.apply_verdicts(
@@ -317,25 +307,11 @@ def _exercise_base_hooks():
         base._merge_closure(0, 1)
 
 
-def _exercise_backend_selection(monkeypatch):
-    monkeypatch.delenv(pref.BACKEND_ENV_VAR, raising=False)
-    assert default_backend() == "numpy"
-    assert isinstance(PreferenceGraph(2), NumpyPreferenceGraph)
-    monkeypatch.setenv(pref.BACKEND_ENV_VAR, "Reference")
-    assert default_backend() == "reference"
-    assert isinstance(PreferenceGraph(2), ReferencePreferenceGraph)
-    monkeypatch.setenv(pref.BACKEND_ENV_VAR, "nope")
-    with pytest.raises(CrowdSkyError):
-        default_backend()
-    with pytest.raises(CrowdSkyError):
-        PreferenceGraph(2, backend="nope")
-    monkeypatch.delenv(pref.BACKEND_ENV_VAR, raising=False)
-
-
-def _exercise_system(backend):
+def _exercise_system(graph_class):
     with pytest.raises(ValueError):
         PreferenceSystem(4, 0)
-    system = PreferenceSystem(8, 2, backend=backend)
+    assert isinstance(PreferenceSystem(4, 1).graphs[0], NumpyPreferenceGraph)
+    system = PreferenceSystem(8, 2, graph=graph_class)
     assert system.num_attributes == 2
     system.add_answer(0, 1, 0, L)
     # memo: miss then hit, then invalidation by a new answer
@@ -382,7 +358,7 @@ def _exercise_system(backend):
     assert [len(side) for side in system.open_pairs([5])] == [0, 0]
     # single-attribute systems: pair loop (reference) vs vectorized,
     # one group per call and all groups in one call
-    single = PreferenceSystem(8, 1, backend=backend)
+    single = PreferenceSystem(8, 1, graph=graph_class)
     single.add_answer(0, 1, 0, L)
     single.add_answer(1, 2, 0, L)
     single.add_answer(3, 4, 0, E)
@@ -398,16 +374,15 @@ def _exercise_system(backend):
     ]
 
 
-def _run_exercise(monkeypatch):
-    for backend in BACKEND_NAMES:
-        _exercise_graph(backend)
-        _exercise_system(backend)
-        _exercise_transactions(backend)
-        _exercise_bulk_kernels(backend)
+def _run_exercise():
+    for graph_class in GRAPHS:
+        _exercise_graph(graph_class)
+        _exercise_system(graph_class)
+        _exercise_transactions(graph_class)
+        _exercise_bulk_kernels(graph_class)
     _exercise_reference_internals()
     _exercise_numpy_internals()
     _exercise_base_hooks()
-    _exercise_backend_selection(monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +390,8 @@ def _run_exercise(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_preference_core_coverage_floor(monkeypatch):
-    executed, arcs, returns = _trace(lambda: _run_exercise(monkeypatch))
+def test_preference_core_coverage_floor():
+    executed, arcs, returns = _trace(_run_exercise)
 
     executable = _executable_lines()
     missed_lines = sorted(executable - executed)
@@ -442,7 +417,7 @@ def test_preference_core_coverage_floor(monkeypatch):
     )
 
 
-def test_exercise_runs_untraced(monkeypatch):
+def test_exercise_runs_untraced():
     """The exercise itself must stay green without the tracer (so a
     coverage regression is distinguishable from a behaviour bug)."""
-    _run_exercise(monkeypatch)
+    _run_exercise()

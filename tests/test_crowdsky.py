@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.crowdsky import CrowdSkyConfig, PruningLevel, crowdsky
-from repro.core.preference import ContradictionPolicy
 from repro.crowd.platform import SimulatedCrowd
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.data.toy import (
@@ -58,10 +57,7 @@ class TestGoldenFigure1:
         assert result.skyline == ground_truth_skyline(toy)
 
     def test_no_rejected_answers_with_perfect_crowd(self, toy):
-        result = crowdsky(
-            toy,
-            config=CrowdSkyConfig(policy=ContradictionPolicy.RAISE),
-        )
+        result = crowdsky(toy)
         assert result.rejected_answers == 0
 
 
@@ -318,7 +314,6 @@ class TestConfigValidation:
         [
             {"multiway": 1},
             {"multiway": 0},
-            {"backend": "quantum"},
         ],
         ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -340,30 +335,5 @@ class TestConfigValidation:
             _entry_points()[entry](
                 relation, crowd, config=CrowdSkyConfig(**bad)
             )
-        assert crowd.stats.questions == 0
-        assert recover_journal(journal).header is None
-
-    @pytest.mark.parametrize(
-        "entry",
-        ["crowdsky", "crowdsky_budgeted", "parallel_dset", "parallel_sl"],
-    )
-    def test_unknown_env_backend_refused_before_header(
-        self, entry, tmp_path, monkeypatch
-    ):
-        """With ``backend=None`` the closure backend comes from
-        ``REPRO_PREF_BACKEND``; an unknown name there is refused before
-        the header too. It used to be read only by ``build_context``,
-        after the header was written."""
-        from repro.crowd.journal import recover_journal
-
-        relation = make_relation(
-            [(1, 1), (1, 1), (0, 2), (2, 0), (2, 2)],
-            [(0,), (1,), (2,), (3,), (4,)],
-        )
-        journal = tmp_path / "journal"
-        crowd = SimulatedCrowd(relation, journal=journal)
-        monkeypatch.setenv("REPRO_PREF_BACKEND", "quantum")
-        with pytest.raises(CrowdSkyError):
-            _entry_points()[entry](relation, crowd)
         assert crowd.stats.questions == 0
         assert recover_journal(journal).header is None

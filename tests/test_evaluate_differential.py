@@ -34,8 +34,9 @@ the same skyline, for every scheduler, pruning level, ``|AC|`` of 1 or
 2, ``multiway`` of 2 or 3 and either probe order, on drawn relations
 (duplicate- and tie-heavy ones included) under perfect, seeded noisy and
 fault-injecting crowds — the last so that ``abandon_request`` runs in
-the middle of a ladder. The module is in the ``pref`` suite, which CI
-runs under each ``REPRO_PREF_BACKEND``.
+the middle of a ladder. Every run is made on both closure graphs
+(:func:`tests.closure_graphs.closure_graph`), and the program's runs on
+the two graphs must agree too.
 
 The spec is patched in where the program looks it up:
 :meth:`Evaluation.start`, the one place tasks are built,
@@ -84,6 +85,7 @@ from repro.exceptions import CrowdSkyError
 from repro.obs import phase
 from repro.questions import Preference
 from repro.skyline.layers import covering_graph_from_matrix
+from tests.closure_graphs import GRAPHS, closure_graph
 from tests.conftest import make_relation
 from tests.strategies import crowd_relations
 
@@ -511,19 +513,29 @@ def outputs(result):
 
 
 def run_both(relation, scheduler, config, crowd_kind, seed):
-    """(change, spec) outputs of one scheduler run on fresh crowds."""
-    run = SCHEDULERS[scheduler]
-    with deadline(RUN_DEADLINE_S):
-        change = run(relation, make_crowd(relation, crowd_kind, seed), config)
-    with spec_evaluate_phase() as calls, deadline(RUN_DEADLINE_S):
-        spec = run(relation, make_crowd(relation, crowd_kind, seed), config)
-    # The spec must have been in use: a run that evaluates a tuple with
-    # a non-empty DS(t) builds its context and its tasks from the spec.
-    assert calls["build_context"] == 1, dict(calls)
-    if calls["contexts_with_ds"]:
-        assert calls["start"] > 0 and calls["tasks"] > 0, dict(calls)
-    assert calls["sl_policy"] == (scheduler == "parallel_sl"), dict(calls)
-    return outputs(change), outputs(spec)
+    """(change, spec) outputs of one scheduler run on fresh crowds, each
+    by closure graph name; the change's runs on the two graphs agree."""
+
+    def run():
+        crowd = make_crowd(relation, crowd_kind, seed)
+        return outputs(SCHEDULERS[scheduler](relation, crowd, config))
+
+    change, spec = {}, {}
+    for name in GRAPHS:
+        with closure_graph(name):
+            with deadline(RUN_DEADLINE_S):
+                change[name] = run()
+            with spec_evaluate_phase() as calls, deadline(RUN_DEADLINE_S):
+                spec[name] = run()
+        # The spec must have been in use: a run that evaluates a tuple
+        # with a non-empty DS(t) builds its context and its tasks from
+        # the spec.
+        assert calls["build_context"] == 1, dict(calls)
+        if calls["contexts_with_ds"]:
+            assert calls["start"] > 0 and calls["tasks"] > 0, dict(calls)
+        assert calls["sl_policy"] == (scheduler == "parallel_sl"), dict(calls)
+    assert change["numpy"] == change["reference"]
+    return change, spec
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -680,22 +692,25 @@ def test_dominating_set_is_complete_at_activation(
     relation, scheduler, pruning, multiway, crowd_kind, seed
 ):
     """With P1 every kept ``DS(t)`` member is complete when ``t`` is
-    activated, in every scheduler, which is what lets
-    :meth:`Evaluation.start` read P1 off the skyline rows."""
+    activated, in every scheduler and on both closure graphs, which is
+    what lets :meth:`Evaluation.start` read P1 off the skyline rows."""
     config = CrowdSkyConfig(pruning=pruning, multiway=multiway)
-    with complete_at_activation(), deadline(RUN_DEADLINE_S):
-        SCHEDULERS[scheduler](
-            relation, make_crowd(relation, crowd_kind, seed), config
-        )
+    for name in GRAPHS:
+        with closure_graph(name), complete_at_activation(), \
+                deadline(RUN_DEADLINE_S):
+            SCHEDULERS[scheduler](
+                relation, make_crowd(relation, crowd_kind, seed), config
+            )
 
 
 @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
 def test_dominating_set_is_complete_at_activation_n120(scheduler):
     relation = duplicate_heavy_relation(120, 1, "independent", seed=5)
-    for pruning in P1_LEVELS:
-        config = CrowdSkyConfig(pruning=pruning)
-        with complete_at_activation() as checked:
-            SCHEDULERS[scheduler](
-                relation, make_crowd(relation, "noisy", 3), config
-            )
-        assert checked["activations"] > 0
+    for name in GRAPHS:
+        for pruning in P1_LEVELS:
+            config = CrowdSkyConfig(pruning=pruning)
+            with closure_graph(name), complete_at_activation() as checked:
+                SCHEDULERS[scheduler](
+                    relation, make_crowd(relation, "noisy", 3), config
+                )
+            assert checked["activations"] > 0

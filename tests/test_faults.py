@@ -616,9 +616,9 @@ class TestBudgetAtomicity:
     ):
         """Once the budget is spent every later request is given up on,
         so the crowd's unresolved set grows with the run. The engine
-        asks the crowd about one question at a time; it reads the set
-        (a fresh copy per read) only once, when the context is built,
-        instead of once per posting and per request."""
+        asks the crowd about one question at a time; the run reads the
+        set (a fresh copy per read) only once, when its result is
+        assembled, instead of once per posting and per request."""
         reads = []
         snapshot = SimulatedCrowd.unresolved_keys.fget
 

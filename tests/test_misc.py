@@ -14,7 +14,6 @@ from repro.exceptions import (
     CrowdSkyError,
     DataError,
     ExperimentError,
-    PreferenceConflictError,
     QuerySemanticError,
     QuerySyntaxError,
     SchemaError,
@@ -33,7 +32,6 @@ class TestExceptionHierarchy:
             DataError,
             CrowdPlatformError,
             BudgetExhaustedError,
-            PreferenceConflictError,
             QuerySyntaxError,
             QuerySemanticError,
             ExperimentError,

@@ -9,7 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.crowdsky import crowdsky
 from repro.core.parallel import parallel_dset, parallel_sl
-from repro.core.preference import PreferenceGraph
+from repro.core.preference import NumpyPreferenceGraph
 from repro.questions import Preference
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.skyline.dominating import dominating_sets
@@ -50,7 +50,7 @@ class _ClosureModel:
         return None
 
     def add(self, u, v, answer):
-        """Mirror PreferenceGraph.add_answer under KEEP_FIRST."""
+        """Mirror the graph's add_answer: the first answer wins."""
         known = self.relation(u, v)
         if known is not None:
             return known is answer
@@ -84,7 +84,7 @@ class PreferenceGraphMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.graph = PreferenceGraph(_N)
+        self.graph = NumpyPreferenceGraph(_N)
         self.model = _ClosureModel(_N)
 
     @rule(

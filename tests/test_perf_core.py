@@ -18,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.preference import PreferenceGraph
+from repro.core.preference import (
+    NumpyPreferenceGraph,
+    ReferencePreferenceGraph,
+)
 from repro.experiments.bench import (
     DEFAULT_BASELINES,
     _closure_updates,
@@ -43,16 +46,16 @@ WORKLOADS = make_workloads(SMOKE_N)
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_numpy_checksum_matches_reference(workload):
-    """The numpy backend computes identical relations on every mix.
+    """The numpy graph computes identical relations on every mix.
 
     No timing assertion at this size: the packed-bit broadcast pays a
     fixed numpy dispatch cost per *scalar* op, which only amortizes once
     the bulk kernels come into play (the `crowd-scale` suite is where
-    the numpy backend's speedup is measured and pinned)."""
+    the numpy graph's curve is measured and its closure work pinned)."""
     ops = WORKLOADS[workload]
-    assert run_workload(ops, SMOKE_N, "numpy") == run_workload(
-        ops, SMOKE_N, "reference"
-    ), f"numpy backend disagrees on {workload}"
+    assert run_workload(ops, SMOKE_N, NumpyPreferenceGraph) == run_workload(
+        ops, SMOKE_N, ReferencePreferenceGraph
+    ), f"numpy graph disagrees on {workload}"
 
 
 @pytest.mark.parametrize("n", [512, 2048])
@@ -64,7 +67,7 @@ def test_numpy_closure_updates_match_committed_record(n):
     pinned = {
         entry["id"]: entry["median_s"] for entry in record["results"]
     }[f"crowd_closure_updates_numpy_n{n}"]
-    assert _closure_updates(n, "numpy") == pinned
+    assert _closure_updates(n, NumpyPreferenceGraph) == pinned
 
 
 @pytest.mark.parametrize("n", [128, 512])
@@ -75,7 +78,7 @@ def test_numpy_closure_updates_on_tie_merges(n):
     target (``k + 2`` rows), and each of the ``m`` merges of an odd
     tuple into its even neighbour sweeps the ``m - 1`` other evens. The
     probes do no closure work."""
-    graph = PreferenceGraph(n, backend="numpy")
+    graph = NumpyPreferenceGraph(n)
     for op in tie_heavy_ops(n):
         if op[0] == "answer":
             graph.add_answer(*op[1:])
@@ -97,7 +100,7 @@ def test_numpy_closure_updates_hand_counted():
         ((0, 4, L), 8),  # already derivable: no work
         ((2, 0, E), 8),  # contradicts 0 < 2: rejected, no work
     ]
-    graph = PreferenceGraph(5, backend="numpy")
+    graph = NumpyPreferenceGraph(5)
     for (u, v, answer), expected in steps:
         graph.add_answer(u, v, answer)
         assert graph.closure_updates == expected, (u, v, answer)
@@ -199,7 +202,7 @@ def test_serial_walk_scalar_pair_reads():
     1,340 questions."""
     from unittest import mock
 
-    from repro.core.crowdsky import CrowdSkyConfig, crowdsky
+    from repro.core.crowdsky import crowdsky
     from repro.core.preference import PreferenceSystem
     from repro.data.synthetic import generate_synthetic
 
@@ -213,6 +216,6 @@ def test_serial_walk_scalar_pair_reads():
 
     relation = generate_synthetic(400, 2, 2, seed=7)
     with mock.patch.object(PreferenceSystem, "pair_relations", counting):
-        result = crowdsky(relation, config=CrowdSkyConfig(backend="numpy"))
+        result = crowdsky(relation)
     assert result.stats.questions == 1340
     assert reads == 1485

@@ -1,38 +1,36 @@
-"""Differential suite: the two preference backends, pinned pairwise.
+"""Differential suite: the two closure graphs, pinned pairwise.
 
-The numpy backend (:class:`repro.core.preference.NumpyPreferenceGraph`)
+The numpy graph (:class:`repro.core.preference.NumpyPreferenceGraph`)
 is an optimization of the reference implementation, not a
 reinterpretation — every observable it exposes must match the reference
 bit for bit. These properties replay random answer histories (edges,
-ties, contradictions under both :class:`ContradictionPolicy` values)
-into both backends and compare the complete derivable state, pin the
-round-shaped closure transactions (:meth:`PreferenceSystem.
+ties, contradictions, where the first answer wins) into both graphs and
+compare the complete derivable state and each answer's acceptance, pin
+the round-shaped closure transactions (:meth:`PreferenceSystem.
 apply_verdicts`) and the bulk kernel against the scalar queries, then
-pin full CrowdSky runs — all four schedulers — to identical question
-order, round tables, skylines and journal bytes under either backend.
+pin full CrowdSky runs — all four schedulers, run on each graph through
+:func:`tests.closure_graphs.closure_graph` — to identical question
+order, round tables, skylines and journal bytes.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import CrowdSkyConfig, crowdsky, parallel_dset, parallel_sl
+from repro.core import crowdsky, parallel_dset, parallel_sl
 from repro.core.crowdsky import crowdsky_budgeted
+from repro.core.engine import build_context
 from repro.core.preference import (
-    BACKEND_NAMES,
-    ContradictionPolicy,
     NumpyPreferenceGraph,
-    PreferenceGraph,
     PreferenceSystem,
     ReferencePreferenceGraph,
-    default_backend,
 )
 from repro.crowd.journal import segment_paths
 from repro.crowd.platform import SimulatedCrowd
 from repro.questions import Preference
 from repro.crowd.workers import WorkerPool
 from repro.data.synthetic import Distribution, generate_synthetic
-from repro.exceptions import CrowdSkyError, PreferenceConflictError
+from tests.closure_graphs import GRAPHS, closure_graph
 from tests.strategies import (
     DIFFERENTIAL_SETTINGS,
     ROBUSTNESS_SETTINGS,
@@ -44,8 +42,6 @@ from tests.strategies import (
 )
 
 pytestmark = pytest.mark.pref
-
-BACKENDS = BACKEND_NAMES  # ("numpy", "reference")
 
 #: The four schedulers of the end-to-end pin — name → runner.
 SCHEDULERS = {
@@ -91,7 +87,7 @@ def round_table(result):
 
 
 def result_digest(result):
-    """Every cross-backend observable of one scheduler run."""
+    """Every cross-graph observable of one scheduler run."""
     return {
         "skyline": result.skyline,
         "questions": result.stats.questions,
@@ -146,11 +142,21 @@ def spec_open_pairs(system, members):
     return opened
 
 
-def assert_backends_agree(by_backend):
-    """Compare each optimized backend's value against the reference."""
-    reference = by_backend["reference"]
-    for backend, value in by_backend.items():
-        assert value == reference, f"{backend} diverges from reference"
+def assert_graphs_agree(by_graph):
+    """Compare each optimized graph's value against the reference."""
+    reference = by_graph["reference"]
+    for name, value in by_graph.items():
+        assert value == reference, f"{name} diverges from reference"
+
+
+def on_each_graph(run):
+    """``run()``'s value with every run inside it built on each closure
+    graph, by graph name."""
+    values = {}
+    for name in GRAPHS:
+        with closure_graph(name):
+            values[name] = run()
+    return values
 
 
 class TestGraphDifferential:
@@ -162,54 +168,43 @@ class TestGraphDifferential:
         """Random histories (contradictions included) yield identical
         acceptance decisions and identical derivable state."""
         n, _, events = sequence
-        graphs = {
-            backend: PreferenceGraph(n, backend=backend)
-            for backend in BACKENDS
-        }
-        assert_backends_agree(
+        graphs = {name: graph(n) for name, graph in GRAPHS.items()}
+        assert_graphs_agree(
             {b: replay(g, events) for b, g in graphs.items()}
         )
-        assert_backends_agree(
+        assert_graphs_agree(
             {b: graph_state(g, n) for b, g in graphs.items()}
         )
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(answer_sequences(max_attributes=1))
-    def test_raise_policy_rejects_at_same_event(self, sequence):
-        """Under RAISE all backends throw on exactly the same event,
-        leaving identical pre-conflict state behind."""
+    def test_graphs_reject_at_same_event(self, sequence):
+        """Every graph rejects exactly the same events: ``add_answer``
+        returns the same at each event, and at the first rejection the
+        graphs hold identical state."""
         n, _, events = sequence
-        graphs = {
-            backend: PreferenceGraph(
-                n, policy=ContradictionPolicy.RAISE, backend=backend
-            )
-            for backend in BACKENDS
-        }
-        failed_at = {}
-        for name, graph in graphs.items():
-            for index, (u, v, _, answer) in enumerate(events):
-                try:
-                    graph.add_answer(u, v, answer)
-                except PreferenceConflictError:
-                    failed_at[name] = index
-                    break
-        assert_backends_agree(
-            {b: failed_at.get(b) for b in BACKENDS}
-        )
-        assert_backends_agree(
-            {b: graph_state(g, n) for b, g in graphs.items()}
-        )
+        graphs = {name: graph(n) for name, graph in GRAPHS.items()}
+        rejected = False
+        for u, v, _, answer in events:
+            accepted = {
+                name: graph.add_answer(u, v, answer)
+                for name, graph in graphs.items()
+            }
+            assert_graphs_agree(accepted)
+            if not rejected and not accepted["reference"]:
+                rejected = True
+                assert_graphs_agree(
+                    {b: graph_state(g, n) for b, g in graphs.items()}
+                )
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(consistent_answer_sequences())
     def test_consistent_histories_never_reject(self, sequence):
         """Histories drawn from a latent weak order are accepted whole
-        by every backend, which then agrees with the latent order."""
+        by every graph, which then agrees with the latent order."""
         n, _, events, ranks = sequence
-        for backend in BACKENDS:
-            graph = PreferenceGraph(
-                n, policy=ContradictionPolicy.RAISE, backend=backend
-            )
+        for graph_class in GRAPHS.values():
+            graph = graph_class(n)
             for u, v, _, answer in events:
                 assert graph.add_answer(u, v, answer)
             assert graph.rejected_answers == 0
@@ -235,16 +230,16 @@ class TestGraphDifferential:
         a drawn member order."""
         n, num_attributes, events = sequence
         systems = {
-            backend: PreferenceSystem(n, num_attributes, backend=backend)
-            for backend in BACKENDS
+            name: PreferenceSystem(n, num_attributes, graph=graph)
+            for name, graph in GRAPHS.items()
         }
         for u, v, attribute, answer in events:
-            assert_backends_agree({
-                backend: system.add_answer(u, v, attribute, answer)
-                for backend, system in systems.items()
+            assert_graphs_agree({
+                name: system.add_answer(u, v, attribute, answer)
+                for name, system in systems.items()
             })
         pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-        assert_backends_agree({
+        assert_graphs_agree({
             b: s.resolve_pairs(pairs) for b, s in systems.items()
         })
         for predicate in (
@@ -254,11 +249,11 @@ class TestGraphDifferential:
             "cannot_dominate",
             "unknown_attributes",
         ):
-            assert_backends_agree({
+            assert_graphs_agree({
                 b: [getattr(s, predicate)(u, v) for u, v in pairs]
                 for b, s in systems.items()
             })
-        assert_backends_agree({
+        assert_graphs_agree({
             b: s.total_rejected() for b, s in systems.items()
         })
         for system in systems.values():
@@ -268,7 +263,7 @@ class TestGraphDifferential:
                 ]
         order = data.draw(st.permutations(range(n)))
         for size in range(n + 1):
-            assert_backends_agree({
+            assert_graphs_agree({
                 b: s.sky_ac([order[:size]]) for b, s in systems.items()
             })
 
@@ -279,7 +274,7 @@ class TestGraphDifferential:
     )
     def test_grouped_sky_ac_matches_per_group_spec(self, sequence, data):
         """One grouped ``sky_ac`` call answers every group as the pair
-        loop does on that group alone, on both backends. The groups of
+        loop does on that group alone, on both graphs. The groups of
         a call include empty and singleton ones, and they share
         tuples, so a kernel whose member mask or twin test reads
         another group's members shows here."""
@@ -291,13 +286,13 @@ class TestGraphDifferential:
                 max_size=6,
             )
         )
-        for backend in BACKENDS:
-            system = PreferenceSystem(n, num_attributes, backend=backend)
+        for name, graph in GRAPHS.items():
+            system = PreferenceSystem(n, num_attributes, graph=graph)
             for u, v, attribute, answer in events:
                 system.add_answer(u, v, attribute, answer)
             assert system.sky_ac(groups) == [
                 spec_sky_ac(system, group) for group in groups
-            ], backend
+            ], name
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=240)
     @given(
@@ -327,32 +322,35 @@ class TestGraphDifferential:
     )
     def test_open_pairs_match_pair_loop_spec(self, sequence, picks):
         """``open_pairs`` leaves out exactly the pairs the pair loop
-        finds settled, on both backends. Tie-heavy histories make
+        finds settled, on both graphs. Tie-heavy histories make
         members of one tie class common, and a drawn member list may
         repeat a tuple; three attributes let a settled pair be tied or
         unknown on the third, which the two fixed examples always
         cover."""
         n, num_attributes, events = sequence
         members = [pick % n for pick in picks]
-        for backend in BACKENDS:
-            system = PreferenceSystem(n, num_attributes, backend=backend)
+        for name, graph in GRAPHS.items():
+            system = PreferenceSystem(n, num_attributes, graph=graph)
             for u, v, attribute, answer in events:
                 system.add_answer(u, v, attribute, answer)
             first, second = system.open_pairs(members)
             assert list(zip(first.tolist(), second.tolist())) == (
                 spec_open_pairs(system, members)
-            ), backend
+            ), name
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(verdict_rounds())
     def test_apply_verdicts_matches_scalar_ingestion(self, sequence):
         """Round-shaped closure transactions accept exactly the answers
-        the scalar path accepts, in the same order, on every backend.
+        the scalar path accepts, in the same order, on every graph.
 
-        KEEP_FIRST makes acceptance order-sensitive, so this is the pin
-        that a transaction must never reorder or dedupe its batch."""
+        The first answer wins, so acceptance is order-sensitive, and
+        this is the pin that a transaction must never reorder or dedupe
+        its batch."""
         n, num_attributes, rounds = sequence
-        scalar = PreferenceSystem(n, num_attributes, backend="reference")
+        scalar = PreferenceSystem(
+            n, num_attributes, graph=ReferencePreferenceGraph
+        )
         scalar_accepted = [
             sum(
                 scalar.add_answer(u, v, attribute, answer)
@@ -361,17 +359,17 @@ class TestGraphDifferential:
             for batch in rounds
         ]
         states = {}
-        for backend in BACKENDS:
-            system = PreferenceSystem(n, num_attributes, backend=backend)
+        for name, graph in GRAPHS.items():
+            system = PreferenceSystem(n, num_attributes, graph=graph)
             accepted = [system.apply_verdicts(batch) for batch in rounds]
             assert accepted == scalar_accepted
-            states[backend] = [
+            states[name] = [
                 graph_state(graph, n) for graph in system.graphs
             ]
         states["reference-scalar"] = [
             graph_state(graph, n) for graph in scalar.graphs
         ]
-        assert_backends_agree(states)
+        assert_graphs_agree(states)
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=60)
     @given(sequence=answer_sequences(max_n=10, max_attributes=1), data=st.data())
@@ -396,7 +394,7 @@ class TestGraphDifferential:
 
 
 class TestEndToEndDifferential:
-    """Full CrowdSky runs must be bit-identical across backends."""
+    """Full CrowdSky runs must be bit-identical across the graphs."""
 
     @settings(parent=ROBUSTNESS_SETTINGS)
     @given(
@@ -409,103 +407,58 @@ class TestEndToEndDifferential:
             28, 2, num_crowd, distribution, seed=seed
         )
         for scheduler in SCHEDULERS.values():
-            assert_backends_agree({
-                backend: result_digest(
-                    scheduler(
-                        relation, None, CrowdSkyConfig(backend=backend)
-                    )
-                )
-                for backend in BACKENDS
-            })
+            assert_graphs_agree(on_each_graph(
+                lambda: result_digest(scheduler(relation, None, None))
+            ))
 
     @settings(parent=ROBUSTNESS_SETTINGS, max_examples=15)
     @given(relation=small_relations())
     def test_arbitrary_relations_identical(self, relation):
         """Grid relations with ties/duplicates — the degenerate-case
         preprocessing and tie-merge paths — agree end to end."""
-        assert_backends_agree({
-            backend: result_digest(
-                crowdsky(relation, config=CrowdSkyConfig(backend=backend))
-            )
-            for backend in BACKENDS
-        })
+        assert_graphs_agree(on_each_graph(
+            lambda: result_digest(crowdsky(relation))
+        ))
 
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-    def test_journal_bytes_identical(self, scheduler, tmp_path, monkeypatch):
+    def test_journal_bytes_identical(self, scheduler, tmp_path):
         """The write-ahead journal is byte-for-byte independent of the
-        backend, noisy crowd included.
-
-        The backend is selected through ``REPRO_PREF_BACKEND`` (config
-        ``backend=None``) so the run-header payload — which embeds the
-        config — is identical too; only then is byte equality possible.
-        """
+        graph, noisy crowd included: the header holds only the config,
+        which names no graph."""
         relation = generate_synthetic(24, 2, 2, seed=11)
-        blobs = {}
-        for backend in BACKENDS:
-            monkeypatch.setenv("REPRO_PREF_BACKEND", backend)
-            journal = tmp_path / backend
+
+        def journal_bytes(name):
+            journal = tmp_path / name
             crowd = SimulatedCrowd(
                 relation,
                 pool=WorkerPool.uniform(size=25, accuracy=0.9),
                 seed=9,
                 journal=journal,
             )
-            SCHEDULERS[scheduler](relation, crowd, None)
-            blobs[backend] = b"".join(
+            with closure_graph(name):
+                SCHEDULERS[scheduler](relation, crowd, None)
+            return b"".join(
                 path.read_bytes() for path in segment_paths(journal)
             )
-        assert_backends_agree(blobs)
+
+        assert_graphs_agree({name: journal_bytes(name) for name in GRAPHS})
 
 
 class TestBackendSelection:
     def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PREF_BACKEND", raising=False)
-        assert default_backend() == "numpy"
-        assert isinstance(PreferenceGraph(4), NumpyPreferenceGraph)
-
-    @pytest.mark.parametrize(
-        "backend, cls",
-        [
-            ("numpy", NumpyPreferenceGraph),
-            ("reference", ReferencePreferenceGraph),
-        ],
-    )
-    def test_env_var_selects_backend(self, backend, cls, monkeypatch):
-        monkeypatch.setenv("REPRO_PREF_BACKEND", backend)
-        assert default_backend() == backend
-        assert isinstance(PreferenceGraph(4), cls)
-        system = PreferenceSystem(4, 1)
-        assert system.backend == backend
-        assert isinstance(system.graphs[0], cls)
+        """Every run is built on the numpy graph: ``REPRO_PREF_BACKEND``
+        no longer picks one."""
+        monkeypatch.setenv("REPRO_PREF_BACKEND", "reference")
+        context = build_context(generate_synthetic(8, 2, 2, seed=0))
+        assert [type(graph) for graph in context.prefs.graphs] == [
+            NumpyPreferenceGraph, NumpyPreferenceGraph
+        ]
+        assert context.prefs.backend == "numpy"
 
     def test_constructor_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PREF_BACKEND", "reference")
-        assert isinstance(
-            PreferenceGraph(4, backend="numpy"), NumpyPreferenceGraph
-        )
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        """Unknown names fail fast — ``bitset`` included."""
-        relation = generate_synthetic(8, 2, 1, seed=0)
-        for name in ("quantum", "bitset"):
-            with pytest.raises(CrowdSkyError):
-                PreferenceGraph(4, backend=name)
-            with pytest.raises(CrowdSkyError):
-                crowdsky(relation, config=CrowdSkyConfig(backend=name))
-            monkeypatch.setenv("REPRO_PREF_BACKEND", name)
-            with pytest.raises(CrowdSkyError):
-                default_backend()
-
-    def test_config_backend_threads_through(self, small_independent):
-        results = {
-            backend: crowdsky(
-                small_independent, config=CrowdSkyConfig(backend=backend)
-            )
-            for backend in BACKENDS
-        }
-        assert_backends_agree(
-            {b: r.skyline for b, r in results.items()}
-        )
-        assert_backends_agree(
-            {b: r.stats.questions for b, r in results.items()}
-        )
+        """The ``graph`` keyword of :class:`PreferenceSystem` picks the
+        closure graph, whatever the environment holds."""
+        monkeypatch.setenv("REPRO_PREF_BACKEND", "numpy")
+        system = PreferenceSystem(4, 1, graph=ReferencePreferenceGraph)
+        assert isinstance(system.graphs[0], ReferencePreferenceGraph)
+        assert system.backend == "reference"

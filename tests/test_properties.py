@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.core.baseline import baseline_skyline
 from repro.core.crowdsky import CrowdSkyConfig, PruningLevel, crowdsky
 from repro.core.parallel import parallel_dset, parallel_sl
-from repro.core.preference import ContradictionPolicy
 from repro.core.unary import unary_skyline
 from repro.crowd.platform import SimulatedCrowd
 from repro.crowd.voting import StaticVoting
@@ -124,11 +123,9 @@ class TestStructuralInvariants:
     )
     @given(relation=crowd_relations())
     def test_no_contradictions_under_perfect_crowd(self, relation):
-        """A perfect crowd can never produce a cyclic preference graph."""
-        result = crowdsky(
-            relation,
-            config=CrowdSkyConfig(policy=ContradictionPolicy.RAISE),
-        )
+        """A perfect crowd never contradicts itself, so no answer is
+        rejected."""
+        result = crowdsky(relation)
         assert result.rejected_answers == 0
 
     @settings(

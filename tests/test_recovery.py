@@ -14,7 +14,8 @@ Also covered: pure replay (zero fresh questions, enforced by
 raising), the relation fingerprint guard, header-less journals,
 hand-built crowds that need an explicit equivalent platform, and
 recorded journals whose headers hold config keys the config no longer
-has.
+has (the three shard keys, and the ``policy`` and ``backend`` keys of
+the closure switches).
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def test_torn_mid_record_crashes_resume_byte_identical(tmp_path):
 #: Journals of the ``noisy`` scenario's crowd, recorded while
 #: ``CrowdSkyConfig`` still had ``shards``, ``shard_jobs`` and
 #: ``shard_partitioner`` fields, by name: the header config those keys
-#: held.
+#: held. Both headers also hold the ``policy`` and ``backend`` keys of
+#: the closure switches, at :data:`GRAPH_KEYS`.
 SHARD_KEY_JOURNALS = {
     "serial": {"shards": 1, "shard_jobs": 1, "shard_partitioner": "range"},
     "shards3_hash": {
@@ -219,21 +221,35 @@ SHARD_KEY_JOURNALS = {
 }
 
 
+#: The closure keys every header held before the config lost its
+#: ``policy`` and ``backend`` fields: the first answer wins, and the
+#: graph was not named.
+GRAPH_KEYS = {"policy": "keep_first", "backend": None}
+
+
+def header_config(raw):
+    """The config recorded in a journal's header record."""
+    return json.loads(raw.split(b"\n", 1)[0])["data"]["run"]["config"]
+
+
 @pytest.mark.parametrize("name", sorted(SHARD_KEY_JOURNALS))
 def test_header_with_shard_keys_resumes_byte_identical(tmp_path, name):
     """The shard keys named a second way to build the same dominance
-    matrix, so a journal that holds them, torn mid-record, resumes to
-    the run the code makes uninterrupted today and continues to the
-    recorded bytes; only the header differs from a fresh journal."""
+    matrix, and the closure keys the one closure graph and contradiction
+    rule the program has, so a journal that holds them, torn
+    mid-record, resumes to the run the code makes uninterrupted today
+    and continues to the recorded bytes; only the header differs from a
+    fresh journal."""
     raw = (
         Path(__file__).parent / "fixtures" / "shard_key_journals"
         / f"{name}.jsonl"
     ).read_bytes()
-    header, records = raw.split(b"\n", 1)
-    config = json.loads(header)["data"]["run"]["config"]
+    records = raw.split(b"\n", 1)[1]
+    config = header_config(raw)
     assert {key: config[key] for key in SHARD_KEY_JOURNALS[name]} == (
         SHARD_KEY_JOURNALS[name]
     )
+    assert {key: config[key] for key in GRAPH_KEYS} == GRAPH_KEYS
     relation, baseline = run_scenario("noisy", tmp_path / "fresh")
     assert journal_bytes(tmp_path / "fresh").split(b"\n", 1)[1] == records
     boundaries = record_boundaries(raw)
@@ -244,6 +260,16 @@ def test_header_with_shard_keys_resumes_byte_identical(tmp_path, name):
         resumed = resume_run(crashed, relation)
         assert_same_result(resumed, baseline)
         assert journal_bytes(crashed) == raw, f"cut {index}"
+
+
+def test_fresh_header_holds_only_the_config_fields(tmp_path):
+    """A fresh header records the config's four fields, and neither
+    closure key: no run names its closure graph or its contradiction
+    rule."""
+    run_scenario("noisy", tmp_path / "fresh")
+    config = header_config(journal_bytes(tmp_path / "fresh"))
+    assert not GRAPH_KEYS.keys() & config.keys()
+    assert config == CrowdSkyConfig().to_payload()
 
 
 # -- pure replay -------------------------------------------------------------
