@@ -444,25 +444,27 @@ def preprocess_duplicates(
     known = relation.known_matrix()
     groups: List[List[int]] = []
     if known.shape[0]:
-        # Vectorized duplicate grouping. np.unique orders groups
-        # lexicographically by row value; re-sorting by first member
-        # restores the first-occurrence order the question sequence
-        # (and thus the seeded crowd RNG stream) depends on. Stable
-        # argsort keeps members ascending within each group.
+        # Vectorized duplicate grouping over the rows that have a twin.
+        # np.unique orders groups lexicographically by row value;
+        # re-sorting by first member restores the first-occurrence order
+        # the question sequence (and thus the seeded crowd RNG stream)
+        # depends on. Stable argsort keeps members ascending within
+        # each group.
         _, inverse, counts = np.unique(
             known, axis=0, return_inverse=True, return_counts=True
         )
-        order = np.argsort(inverse.ravel(), kind="stable")
+        inverse = inverse.ravel()
+        twins = np.flatnonzero(counts[inverse] > 1)
+        order = twins[np.argsort(inverse[twins], kind="stable")]
+        # Splitting after every group leaves one empty piece at the end.
         groups = [
-            [int(i) for i in members]
-            for members in np.split(order, np.cumsum(counts)[:-1])
+            members.tolist()
+            for members in np.split(order, np.cumsum(counts[counts > 1]))[:-1]
         ]
         groups.sort(key=lambda members: members[0])
 
     removed: Set[int] = set()
     for members in groups:
-        if len(members) < 2:
-            continue
         for i, u in enumerate(members):
             if u in removed:
                 continue

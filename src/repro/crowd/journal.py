@@ -77,20 +77,23 @@ _STANDALONE_TYPES = frozenset({"header", "budget", "note"})
 
 _log = get_logger(__name__)
 
+#: The canonical serialization: ``json.dumps(..., sort_keys=True,
+#: separators=(",", ":"))``, with one encoder built once instead of
+#: one per call. The encoder keeps no state between calls.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def _crc(seq: int, epoch: int, type: str, data: Any) -> int:
-    payload = json.dumps(
-        [seq, epoch, type, data], sort_keys=True, separators=(",", ":")
-    )
+    payload = _CANONICAL.encode([seq, epoch, type, data])
     return zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
 
 
 def _encode(seq: int, epoch: int, type: str, data: Any) -> bytes:
-    """One record line: the bytes of the sorted-key ``json.dumps`` of
+    """One record line: the bytes of the canonical serialization of
     ``{seq, epoch, type, data, crc}``, with ``data`` serialised once
     for both the checksum payload and the record. Record types are
     plain identifiers, so they need no escaping."""
-    body = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    body = _CANONICAL.encode(data)
     crc = zlib.crc32(
         f'[{seq},{epoch},"{type}",{body}]'.encode("utf-8")
     ) & 0xFFFFFFFF

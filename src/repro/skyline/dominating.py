@@ -81,15 +81,6 @@ def packed_bool_rows(matrix: np.ndarray) -> np.ndarray:
     return out.view("<u8").astype(np.uint64, copy=False)
 
 
-def unpacked_bool_rows(packed: np.ndarray, n: int) -> np.ndarray:
-    """The ``(rows, n)`` bool matrix packed by :func:`packed_bool_rows`."""
-    little = np.ascontiguousarray(packed, dtype="<u8")
-    bits = np.unpackbits(
-        little.view(np.uint8), axis=1, count=n, bitorder="little"
-    )
-    return bits.view(bool)
-
-
 def pair_frequency(matrix: np.ndarray, u: int, v: int) -> int:
     """``freq(u, v)`` — tuples dominated by both ``u`` and ``v`` in AK."""
     return int(np.count_nonzero(matrix[u] & matrix[v]))

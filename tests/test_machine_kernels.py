@@ -11,7 +11,10 @@ Relations up to 200 rows cross the 64- and 128-bit word boundaries of
 the packed rows; the duplicate-heavy, tie-dense grids of
 ``known_matrices`` are where dominance code breaks. The whole-matrix
 readers work in blocks of a module constant, patched small here so
-that drawn relations also cross block boundaries.
+that drawn relations also cross block boundaries. Fixed relations put
+the covering graph's rank-ordered greedy where it could go wrong: a
+long chain, a fan-out across three words, indices that run against
+dominance, and AK-equal twins inside a chain.
 """
 
 from contextlib import contextmanager
@@ -43,7 +46,8 @@ KERNEL_SETTINGS = settings(
 )
 
 #: Block sizes that split 200 rows unevenly, plus one above them.
-BLOCKS = st.sampled_from([1, 7, 64, 512])
+BLOCK_SIZES = (1, 7, 64, 512)
+BLOCKS = st.sampled_from(BLOCK_SIZES)
 
 
 @contextmanager
@@ -151,6 +155,71 @@ def test_shipped_blocks_match_specs_at_block_boundaries(n):
     ds = dominating_sets_from_matrix(matrix, removed)
     assert ds == spec_dominating_sets(matrix, removed)
     assert_packed_columns_match(matrix, removed, ds)
+
+
+def assert_cover_matches_spec(data):
+    """``c(t)`` equals the spec under every patched block size; returns
+    it."""
+    matrix = spec_dominance_matrix(data)
+    expected = spec_covering_graph(matrix)
+    for block in BLOCK_SIZES:
+        with blocks_of(block):
+            assert covering_graph_from_matrix(matrix) == expected, block
+    return expected
+
+
+def chain_cover(values):
+    """``c(t)`` when ``t`` is dominated exactly by the tuples of smaller
+    value: the tuples of the next smaller value cover it."""
+    values = np.asarray(values)
+    return {
+        t: {int(s) for s in np.flatnonzero(values == values[values < v].max())}
+        if (values < v).any() else set()
+        for t, v in enumerate(values)
+    }
+
+
+@pytest.mark.parametrize("n", [65, 300])
+def test_cover_of_a_chain(n):
+    """Out-degree 1 and depth n, in shuffled index order: each block
+    runs one pass, and every edge crosses the rank relabelling."""
+    values = np.random.default_rng(n).permutation(n)
+    data = np.column_stack([values, values]).astype(float)
+    assert assert_cover_matches_spec(data) == chain_cover(values)
+
+
+def test_cover_of_a_fan_out_across_three_words():
+    """One tuple covers 130 others, which rank 1 to 130 and so fill
+    bits of three packed words. The tuple has the last index."""
+    width = 130
+    antichain = [(1.0 + i, float(width - i)) for i in range(width)]
+    data = np.array(antichain + [(0.0, 0.0)])
+    cover = assert_cover_matches_spec(data)
+    assert cover == {**{t: {width} for t in range(width)}, width: set()}
+
+
+def test_cover_when_indices_run_against_dominance():
+    """A 12 x 12 grid listed from its worst corner, so every dominator
+    has a higher index than the tuples it dominates. A kernel that took
+    a row's lowest-index successor as direct would pick the far corner."""
+    side = 12
+    data = np.array(
+        [(a, b) for a in reversed(range(side)) for b in reversed(range(side))],
+        dtype=float,
+    )
+    matrix = spec_dominance_matrix(data)
+    assert not np.triu(matrix).any()
+    cover = assert_cover_matches_spec(data)
+    assert max(len(c) for c in cover.values()) == 2
+
+
+def test_cover_of_twins_inside_a_chain():
+    """AK-equal twins tie in rank and are incomparable: every twin of a
+    chain level covers every tuple of the next level."""
+    rng = np.random.default_rng(11)
+    values = rng.permutation(np.repeat(np.arange(40), rng.integers(1, 4, 40)))
+    data = np.column_stack([values, values]).astype(float)
+    assert assert_cover_matches_spec(data) == chain_cover(values)
 
 
 @KERNEL_SETTINGS

@@ -169,9 +169,9 @@ def _best_of(repeats, kernel, *args):
 
 
 def test_covering_graph_packed_kernel_beats_per_tuple_spec():
-    """The packed ``M & ~(M∘M)`` covering graph equals the per-tuple
+    """The packed rank-ordered covering greedy equals the per-tuple
     submatrix spec on the ``sl-ant-noisy`` relation shape and is at
-    least 5x faster, best of 3 (about 30x on an idle 2-core x86 VM;
+    least 5x faster, best of 3 (about 130x on an idle 2-core x86 VM;
     the margin absorbs a 2x drift in that VM's speed)."""
     from repro.data.synthetic import Distribution, generate_synthetic
     from repro.skyline.dominance import dominance_matrix
