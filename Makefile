@@ -1,6 +1,6 @@
 # Convenience targets for the CrowdSky reproduction.
 
-.PHONY: install test test-robustness test-obs test-pref test-perf-core test-perfbench test-perf-obs test-sweep test-analysis test-sanitize test-recovery test-sharded regen-golden bench bench-ci bench-trajectory bench-baseline bench-scale experiments experiments-paper examples trace-demo report-demo lint lint-baseline
+.PHONY: install test test-robustness test-obs test-pref test-perf-core test-perfbench test-perf-obs test-sweep test-analysis test-sanitize test-recovery test-sharded regen-golden bench bench-ci bench-trajectory bench-baseline bench-scale bench-crowd-scale experiments experiments-paper examples trace-demo report-demo lint lint-baseline
 
 # Suite for bench-trajectory (smoke | ci | paper | scale).
 BENCH_SUITE ?= ci
@@ -118,6 +118,12 @@ bench-baseline:
 # n=10k/100k/1M curve; minutes per repeat), then commit the diff.
 bench-scale:
 	PYTHONPATH=src python benchmarks/record_bench_baseline.py scale
+
+# Refresh only the crowd-scale baseline (serial CrowdSky at
+# n=1k..20k and the closure-update counts that tests/test_perf_core.py
+# pins), then commit the diff.
+bench-crowd-scale:
+	PYTHONPATH=src python benchmarks/record_bench_baseline.py crowd-scale
 
 experiments:
 	python -m repro.experiments run all --scale ci

@@ -37,9 +37,8 @@ ROOT = Path(__file__).parent.parent
 BASELINE_PATH = ROOT / "benchmarks" / "baselines" / "bench_trajectory.json"
 TRAJECTORY_PATH = ROOT / "BENCH_trajectory.json"
 DEFAULT_SUITES = ("smoke", "ci")
-#: Per-suite repeats: the scale suites run minutes (crowd-scale: tens
-#: of minutes) per repeat, so their baselines use fewer samples than
-#: the fast suites.
+#: Per-suite repeats: the scale suites run a minute or more per
+#: repeat, so their baselines use fewer samples than the fast suites.
 REPEATS = {"smoke": 3, "ci": 3, "paper": 3, "scale": 2, "crowd-scale": 1}
 
 

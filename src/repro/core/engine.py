@@ -229,9 +229,9 @@ def build_context(
             dropped = sorted(removed)
             keep = np.ones(n, dtype=bool)
             keep[dropped] = False
-            sizes = np.count_nonzero(matrix, axis=0) - np.count_nonzero(
-                matrix[dropped], axis=0
-            )
+            sizes = matrix.sum(axis=0, dtype=np.int32) - matrix[
+                dropped
+            ].sum(axis=0, dtype=np.int32)
             order = np.argsort(sizes, kind="stable")
 
         return ExecutionContext(

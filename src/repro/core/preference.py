@@ -15,10 +15,12 @@ counted in ``rejected_answers``.
 Two graphs implement the closure:
 
 * :class:`NumpyPreferenceGraph` — reachability as packed bit rows, one
-  per tie class, in ``(n, ceil(n/64))`` uint64 matrices, with
-  **incremental** transitive-closure maintenance: an edge insert is one
-  masked ``|=`` broadcast over every affected class row and tie merges
-  are row ORs plus row retirement. Its
+  per tie class, in two ``(n, ceil(n/64))`` uint64 matrices (class
+  members and the tuples strictly below), with **incremental**
+  transitive-closure maintenance: an edge insert reads one column to
+  find the classes above its source and ORs the new descendants into
+  those rows and the source's own in one ``|=``; a tie merge is the
+  same update plus row retirement. Its
   :meth:`~NumpyPreferenceGraph.relations_batch` answers whole arrays of
   pair queries in one gather. Every run is built on it.
 * :class:`ReferencePreferenceGraph` — the original per-node
@@ -57,6 +59,10 @@ _CODE_OF: Dict[Optional[Preference], int] = {
     rel: code for code, rel in enumerate(RELATION_CODES)
 }
 
+#: The 64 one-bit words as numpy scalars, built once: shifting a fresh
+#: scalar on every column read costs a fifth of the read itself.
+_BIT: List[np.uint64] = [np.uint64(1) << np.uint64(i) for i in range(64)]
+
 
 class _BasePreferenceGraph:
     """Shared union-find, answer folding and introspection.
@@ -72,7 +78,6 @@ class _BasePreferenceGraph:
     backend = "abstract"
 
     def __init__(self, n: int):
-        self._n = n
         self._parent = list(range(n))
         self._out: Dict[int, Set[int]] = {}
         self._in: Dict[int, Set[int]] = {}
@@ -80,7 +85,8 @@ class _BasePreferenceGraph:
         #: Monotone mutation counter — lets :class:`PreferenceSystem`
         #: invalidate its pair memo lazily instead of eagerly.
         self.version = 0
-        #: Closure maintenance work (node-set updates) — exported as the
+        #: Closure maintenance work (numpy: rows written; reference:
+        #: cache invalidations) — exported as the
         #: ``crowdsky_closure_updates_total`` observability counter.
         self.closure_updates = 0
 
@@ -287,71 +293,61 @@ class ReferencePreferenceGraph(_BasePreferenceGraph):
 class NumpyPreferenceGraph(_BasePreferenceGraph):
     """Packed-bit closure: one uint64 matrix row per tie class.
 
-    Per class representative ``r`` the graph keeps three packed bit rows
+    Per class representative ``r`` the graph keeps two packed bit rows
     over *original tuple indices* (so membership tests never need
     representative mapping): row ``r`` of the ``(n, ceil(n/64))`` uint64
-    matrices ``_cls`` (class members), ``_desc`` (tuples strictly below)
-    and ``_anc`` (tuples strictly above). A row is meaningful only while
-    ``r`` is a class representative. The incremental Italiano-style
-    update is a masked broadcast: an edge insert ORs ``below(dst)`` into
-    the rows of every representative above ``src`` (and symmetrically
-    for ancestors) in one vectorized ``|=``, and a tie merge is two row
-    ORs plus retirement of the dropped row.
+    matrices ``_cls`` (class members) and ``_desc`` (tuples strictly
+    below). A row is meaningful only while ``r`` is a class
+    representative; a retired row is all zero.
 
-    :meth:`relations_batch` overrides the base loop with one gather of
-    closure bits for a whole array of pairs; :class:`PreferenceSystem`
-    routes ``resolve_pairs`` through it and vectorizes ``sky_ac`` over
-    the same rows.
+    The incremental Italiano-style update writes only the rows that
+    gain descendants. An edge insert ``src → dst`` ORs ``below(dst)``
+    (``_desc[dst] | _cls[dst]``) into ``src``'s row and the row of every
+    representative strictly above ``src``'s class, in one vectorized
+    ``|=``. Those representatives are found by one column read of
+    ``_desc``: a live row holds exactly the tuples strictly below its
+    class and a retired row is zero, so representative ``x`` is
+    strictly above ``src``'s class exactly when bit ``src`` of
+    ``_desc[x]`` is set, and no liveness mask is needed. A tie merge
+    folds the dropped row into the kept one, retires the dropped row,
+    and ORs the merged class and its descendants into the rows strictly
+    above either class.
 
-    ``closure_updates`` counts one update per representative row swept;
-    the tier-1 suite pins it to the committed ``crowd-scale`` record.
+    The relation is read off the same rows: ``v``'s class is strictly
+    above ``u``'s exactly when bit ``u`` of ``_desc[root(v)]`` is set, so
+    ``RIGHT`` needs no ancestor rows. :meth:`relations_batch` overrides
+    the base loop with one gather of closure bits for a whole array of
+    pairs; :class:`PreferenceSystem` routes ``resolve_pairs`` through it
+    and vectorizes ``sky_ac`` over the same rows.
+
+    ``closure_updates`` counts the rows written: for an insert, the
+    rows at or above ``src``; for a merge, the rows above either class
+    plus the kept row. The tier-1 suite pins it to the committed
+    ``crowd-scale`` record.
     """
 
     backend = "numpy"
 
     def __init__(self, n: int):
         super().__init__(n)
-        self._words = words = max(1, (n + 63) >> 6)
+        words = max(1, (n + 63) >> 6)
         self._desc = np.zeros((n, words), dtype=np.uint64)
-        self._anc = np.zeros((n, words), dtype=np.uint64)
         self._cls = np.zeros((n, words), dtype=np.uint64)
         if n:
             idx = np.arange(n, dtype=np.int64)
             self._cls[idx, idx >> 6] = np.uint64(1) << (
                 idx & 63
             ).astype(np.uint64)
-        # Row r is live (a class representative) iff _is_rep[r].
-        self._is_rep = np.ones(n, dtype=bool)
         #: Every tuple's class representative, kept equal to
         #: ``_find`` on each merge, so :meth:`find_roots` is one gather.
         self._root = np.arange(n, dtype=np.int64)
 
     # -- row helpers -----------------------------------------------------
 
-    def _rep_rows(self, row: np.ndarray) -> np.ndarray:
-        """Indices of set bits in a packed row that are live
-        representatives (the rows an update must sweep)."""
-        bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-        hits = bits[: self._n].view(np.bool_) & self._is_rep
-        return np.nonzero(hits)[0]
-
-    def _broadcast(
-        self,
-        above: np.ndarray,
-        below: np.ndarray,
-        gain_below: np.ndarray,
-        gain_above: np.ndarray,
-    ) -> None:
-        """OR ``gain_below`` into every representative row above and
-        ``gain_above`` into every one below — the whole incremental
-        closure sweep as two masked broadcasts."""
-        up = self._rep_rows(above)
-        down = self._rep_rows(below)
-        if up.size:
-            self._desc[up] |= gain_below
-        if down.size:
-            self._anc[down] |= gain_above
-        self.closure_updates += int(up.size) + int(down.size)
+    def _above(self, rep: int) -> np.ndarray:
+        """Mask of the representatives strictly above ``rep``'s class:
+        bit ``rep`` of every ``_desc`` row, as one column read."""
+        return (self._desc[:, rep >> 6] & _BIT[rep & 63]) != 0
 
     # -- closure hooks ---------------------------------------------------
 
@@ -363,34 +359,33 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
         )
 
     def _add_edge(self, src: int, dst: int) -> None:
-        below = self._desc[dst] | self._cls[dst]
-        above = self._anc[src] | self._cls[src]
-        self._broadcast(above, below, below, above)
+        at_or_above = self._above(src)
+        at_or_above[src] = True
+        rows = np.flatnonzero(at_or_above)
+        self._desc[rows] |= self._desc[dst] | self._cls[dst]
+        self.closure_updates += int(rows.size)
 
     def _merge_closure(self, keep: int, drop: int) -> None:
+        rows = np.flatnonzero(self._above(keep) | self._above(drop))
         members = self._cls[keep] | self._cls[drop]
         below = self._desc[keep] | self._desc[drop]
-        above = self._anc[keep] | self._anc[drop]
         self._cls[keep] = members
         self._desc[keep] = below
-        self._anc[keep] = above
         self._cls[drop] = 0
         self._desc[drop] = 0
-        self._anc[drop] = 0
-        self._is_rep[drop] = False
         self._root[self._root == drop] = keep
-        self._broadcast(above, below, below | members, above | members)
+        self._desc[rows] |= below | members
+        self.closure_updates += int(rows.size) + 1
 
     # -- fast scalar queries ---------------------------------------------
 
     def relation(self, u: int, v: int) -> Optional[Preference]:
-        ru = self._find(u)
-        if ru == self._find(v):
+        ru, rv = self._find(u), self._find(v)
+        if ru == rv:
             return Preference.EQUAL
-        word, bit = v >> 6, v & 63
-        if int(self._desc[ru, word]) >> bit & 1:
+        if int(self._desc[ru, v >> 6]) >> (v & 63) & 1:
             return Preference.LEFT
-        if int(self._anc[ru, word]) >> bit & 1:
+        if int(self._desc[rv, u >> 6]) >> (u & 63) & 1:
             return Preference.RIGHT
         return None
 
@@ -413,11 +408,13 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
         vs = np.asarray(vs, dtype=np.int64)
         ru = self.find_roots(us)
         rv = self.find_roots(vs)
-        cols = vs >> 6
-        shifts = (vs & 63).astype(np.uint64)
         one = np.uint64(1)
-        left = (self._desc[ru, cols] >> shifts) & one
-        right = (self._anc[ru, cols] >> shifts) & one
+        left = (
+            self._desc[ru, vs >> 6] >> (vs & 63).astype(np.uint64)
+        ) & one
+        right = (
+            self._desc[rv, us >> 6] >> (us & 63).astype(np.uint64)
+        ) & one
         codes = np.zeros(len(us), dtype=np.int8)
         codes[left != 0] = 1
         codes[right != 0] = 2
@@ -728,17 +725,21 @@ class PreferenceSystem:
         """Vectorized ``SKY_AC`` of every group at once, for any
         ``|AC|`` (numpy graph).
 
-        The members of all groups of two or more are laid end to end. A
-        member ``v`` is dominated when some other member of its group is
-        weakly preferred on every attribute and strictly somewhere:
-        per-attribute row gathers combined with bitwise AND/OR, then one
-        ``any`` per member, masked by its group's member bits. ``v``'s
-        own bit never appears in an ancestor row, so self-comparison is
-        excluded for free. Fully tied twins share their class on every
-        attribute, so one ``lexsort`` over the members' group and
-        per-attribute roots brings each group's twins together, and each
-        set of twins keeps its lowest index. Equivalent to the pair loop
-        bit for bit.
+        The members of all groups of two or more are laid end to end.
+        Each member ``a`` gets one row of the tuples it AC-dominates,
+        ``∩_j (desc_j | cls_j)[root_j(a)] & ∪_j desc_j[root_j(a)]``:
+        ``b`` is in it when ``b`` lies at or below ``a``'s class on every
+        attribute and strictly below on some attribute, which is the
+        pair loop's strict test. One ``np.bitwise_or.reduceat`` ORs the
+        rows of each group (every segment holds two or more rows), and a
+        member is dominated when its own bit is in its group's union.
+        ``a`` never dominates itself, since ``a`` is in no ``desc`` row
+        of its own root, and full twins never dominate each other, since
+        each lies in the other's ``cls`` and not its ``desc``. Fully
+        tied twins share their class on every attribute, so one
+        ``lexsort`` over the members' group and per-attribute roots
+        brings each group's twins together, and each set of twins keeps
+        its lowest index. Equivalent to the pair loop bit for bit.
         """
         out = [list(group) for group in groups]
         large = [index for index, group in enumerate(out) if len(group) > 1]
@@ -749,29 +750,24 @@ class PreferenceSystem:
             [v for index in large for v in out[index]], dtype=np.int64
         )
         group_of = np.arange(len(large)).repeat(sizes)
-        group_bits = np.zeros(
-            (len(large), self.graphs[0]._words), dtype=np.uint64
-        )
-        np.bitwise_or.at(
-            group_bits,
-            (group_of, m >> 6),
-            np.uint64(1) << (m & 63).astype(np.uint64),
-        )
         weak_all = strict_any = None
         roots = []
         for graph in self.graphs:
             root = graph.find_roots(m)
             roots.append(root)
-            anc = graph._anc[root]
+            desc = graph._desc[root]
             if weak_all is None:
-                weak_all = anc | graph._cls[root]
-                strict_any = anc
+                weak_all = desc | graph._cls[root]
+                strict_any = desc
             else:
-                weak_all &= anc | graph._cls[root]
-                strict_any = strict_any | anc
-        dominated = (weak_all & strict_any & group_bits[group_of]).any(
-            axis=1
-        )
+                weak_all &= desc | graph._cls[root]
+                strict_any |= desc
+        starts = np.cumsum([0] + sizes[:-1])
+        union = np.bitwise_or.reduceat(weak_all & strict_any, starts)
+        dominated = (
+            (union[group_of, m >> 6] >> (m & 63).astype(np.uint64))
+            & np.uint64(1)
+        ) != 0
         # The group shares one key with the first root (roots are below
         # n). Sorted by the keys and then by index, a member that
         # repeats its predecessor's keys has a lower-indexed twin.

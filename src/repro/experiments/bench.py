@@ -27,8 +27,8 @@ byte-identical (records are only comparable per id):
 * ``crowd-scale`` — the crowd-phase curve (docs/performance.md):
   end-to-end CrowdSky at n=1k/5k/10k/20k, plus deterministic
   ``crowd_closure_updates_*`` pseudo-benchmarks pinning the closure
-  maintenance work of both closure graphs — tens of minutes per
-  repeat.
+  maintenance work of both closure graphs — about a minute per
+  repeat on a 2-core x86 VM (``make bench-crowd-scale``).
 
 Workload determinism: every benchmark is seeded, so two runs on one
 machine time the *same* computation. The only wall-clock reads are the

@@ -5,8 +5,9 @@ workloads checks that the numpy backend computes the reference's
 relations on every mix. numpy's closure maintenance work is pinned
 exactly: the edge-insert path by the committed ``crowd-scale`` bench
 record, the tie-merge path by closed-form and hand-counted sequences.
-The dominance kernel must not be slower than the re-allocating 3-D
-broadcast, and the packed covering graph must beat the per-tuple spec.
+Its memory is pinned to two packed matrices. The dominance kernel must
+not be slower than the re-allocating 3-D broadcast, and the packed
+covering graph must beat the per-tuple spec.
 
 Run via ``make test-perf-core``. The closure replay itself is timed by
 the ``closure_numpy_n*`` ids of ``crowdsky bench`` (docs/profiling.md).
@@ -74,37 +75,67 @@ def test_numpy_closure_updates_match_committed_record(n):
 def test_numpy_closure_updates_on_tie_merges(n):
     """The ``tie_heavy`` mix reaches the merge path, so its count is
     pinned in closed form. With ``m = n/2`` evens, backbone edge ``k``
-    sweeps the ``k + 1`` representatives at or above its source plus its
-    target (``k + 2`` rows), and each of the ``m`` merges of an odd
-    tuple into its even neighbour sweeps the ``m - 1`` other evens. The
-    probes do no closure work."""
+    writes the ``k + 1`` rows at or above its source (the evens ``0, 2,
+    ..., 2k``). Merge ``j`` folds odd ``2j + 1`` into even ``2j``: it
+    writes the ``j`` rows above ``2j`` plus the kept row (nothing is above
+    the odd tuple). So the backbone writes ``m(m - 1)/2`` rows, the merges
+    ``m(m + 1)/2``, and the whole mix ``m²``. The probes do no closure
+    work."""
     graph = NumpyPreferenceGraph(n)
     for op in tie_heavy_ops(n):
         if op[0] == "answer":
             graph.add_answer(*op[1:])
     m = n // 2
-    backbone = sum(k + 2 for k in range(m - 1))
-    assert graph.closure_updates == backbone + m * (m - 1)
+    backbone = sum(k + 1 for k in range(m - 1))
+    merges = sum(j + 1 for j in range(m))
+    assert graph.closure_updates == backbone + merges == m * m
 
 
 def test_numpy_closure_updates_hand_counted():
-    """Edge inserts, tie merges, a redundant answer and rejected
-    contradictions, each step's swept rows counted by hand."""
+    """Edge inserts, tie merges, a redundant answer, rejected
+    contradictions, an insert from a class that absorbed another and an
+    insert into a merged class, each step's written rows counted by
+    hand."""
     L, E = Preference.LEFT, Preference.EQUAL
     steps = [
-        ((0, 1, L), 2),  # rows {0} above, {1} below
-        ((2, 3, L), 4),  # rows {2} above, {3} below
-        ((1, 2, E), 6),  # 2 folds into 1: {0} above, {3} below
-        ((3, 0, L), 6),  # contradicts 0 < 3: rejected, no work
-        ((4, 3, E), 8),  # 4 folds into 3: live reps {0, 1} above
-        ((0, 4, L), 8),  # already derivable: no work
-        ((2, 0, E), 8),  # contradicts 0 < 2: rejected, no work
+        ((0, 1, L), 1),  # row {0}: nothing above 0
+        ((2, 3, L), 2),  # row {2}
+        ((1, 2, E), 4),  # 2 folds into 1: {0} above 1, kept row 1
+        ((3, 0, L), 4),  # contradicts 0 < 3: rejected, no work
+        ((4, 3, E), 7),  # 4 folds into 3: {0, 1} above 3, kept row 3
+        ((0, 4, L), 7),  # already derivable: no work
+        ((2, 0, E), 7),  # contradicts 0 < 2: rejected, no work
+        ((4, 5, L), 10),  # source class 3 absorbed 4: {0, 1} above, row 3
+        ((6, 1, L), 11),  # into class {1, 2}: row {6}, nothing above 6
     ]
-    graph = NumpyPreferenceGraph(5)
+    graph = NumpyPreferenceGraph(7)
     for (u, v, answer), expected in steps:
         graph.add_answer(u, v, answer)
         assert graph.closure_updates == expected, (u, v, answer)
     assert graph.rejected_answers == 2
+    # Retired rows 2 and 4 stay zero: no later sweep wrote them.
+    assert not graph._desc[[2, 4]].any()
+    assert graph.relation(6, 2) is Preference.LEFT
+    assert graph.relation(5, 0) is Preference.RIGHT
+    assert graph.relation(0, 6) is None
+
+
+def test_numpy_graph_allocates_two_packed_matrices():
+    """Building ``NumpyPreferenceGraph(n)`` allocates the class and
+    descendant matrices, ``2 · n · ceil(n/64)`` words, and O(n) more: a
+    third packed matrix (another 2 MiB at n = 4096) fails the bound."""
+    import tracemalloc
+
+    n = 4096
+    matrices = 2 * n * ((n + 63) // 64) * 8
+    NumpyPreferenceGraph(8)  # import-time and first-call allocations
+    tracemalloc.start()
+    try:
+        NumpyPreferenceGraph(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= matrices + 128 * n, (peak, matrices)
 
 
 def _realloc_dominance_matrix(data, chunk_size=64):
