@@ -12,8 +12,9 @@ closure graph); the reference graph runs through
 The matrix is deliberately tiny: it is a drift tripwire, not a
 benchmark. Beside the default configuration with a perfect crowd it
 holds :func:`extra_cases`: the budgeted scheduler, every pruning level,
-m-ary probing, round-robin asking and noisy and fault-injecting crowds,
-so a change to the scheduler loops cannot move any of them unseen.
+m-ary probing, round-robin asking, noisy and fault-injecting crowds and
+runs with every second tuple's crowd values visible, so a change to the
+scheduler loops cannot move any of them unseen.
 Cross-graph agreement is additionally asserted at generation time, so
 a broken graph cannot be baked into the fixture.
 
@@ -157,6 +158,16 @@ def extra_cases() -> Dict[str, Case]:
         add("ant_n36", scheduler, label="multiway=3", multiway=3)
         for crowd in ("noisy", "faulty"):
             add("ind_ac2_n30", scheduler, crowd=crowd, label=f"crowd={crowd}")
+    # Visible tuples are seeded into the closure, so a ParallelSL task
+    # activated mid-pass can decide on its first advance and ready its
+    # waiters in the same pass.
+    for scheduler in SCHEDULERS:
+        for dataset in ("ant_n36", "ind_ac2_n30"):
+            add(dataset, scheduler, label="visible=half", visible=True)
+            add(
+                dataset, scheduler, crowd="noisy",
+                label="visible=half,crowd=noisy", visible=True,
+            )
     for scheduler in ("crowdsky", BUDGETED):
         add(
             "ind_ac2_n30", scheduler, label="round_robin",
@@ -196,8 +207,12 @@ def run_case(
     backend: str,
     crowd: str = "perfect",
     budget: int = 0,
+    visible: bool = False,
     **options,
 ) -> dict:
+    """One golden case on the closure graph ``backend``. ``visible``
+    makes every second tuple's crowd values visible (``visible_crowd``
+    of the unbudgeted schedulers); ``options`` are the config's."""
     config = CrowdSkyConfig(**options)
     platform = CROWDS[crowd](relation)
     with closure_graph(backend):
@@ -207,7 +222,10 @@ def run_case(
             )
         else:
             result = SCHEDULERS[scheduler_name](
-                relation, platform, config=config
+                relation, platform, config=config,
+                visible_crowd=(
+                    range(0, len(relation), 2) if visible else None
+                ),
             )
     return {
         "questions": result.stats.questions,
