@@ -137,7 +137,9 @@ examples:
 # Record a small traced IND run, then validate the JSONL trace against
 # the event schema (an unregistered event name fails it) and check that
 # the metrics dump holds exactly the metrics the trace folds to. Then
-# the same across two worker processes, whose events the parent absorbs.
+# the same across two worker processes, whose events the parent absorbs,
+# and for the parallel schedulers (fig8 runs ParallelDSet and
+# ParallelSL).
 trace-demo:
 	python -m repro.experiments run fig6a --scale smoke --no-cache \
 		--trace trace-demo.jsonl --metrics trace-demo.prom
@@ -148,6 +150,10 @@ trace-demo:
 		--jobs 2 --trace trace-demo-jobs2.jsonl --metrics trace-demo-jobs2.prom
 	python -m repro.experiments trace validate trace-demo-jobs2.jsonl \
 		--metrics trace-demo-jobs2.prom
+	python -m repro.experiments run fig8 --scale smoke --no-cache \
+		--trace trace-demo-fig8.jsonl --metrics trace-demo-fig8.prom
+	python -m repro.experiments trace validate trace-demo-fig8.jsonl \
+		--metrics trace-demo-fig8.prom
 
 # Record a traced run into a scratch directory and assemble the
 # RunReport artifact (report.json + report.md) from its trace alone.

@@ -145,9 +145,10 @@ class Evaluation:
     :class:`TupleTask`; the schedulers differ only in which tasks
     advance together into a round. :meth:`start` builds and activates
     the tasks of every tuple a policy is ready to activate, :meth:`step`
-    advances a set of tasks by one round, and :meth:`decide` records a
-    tuple's outcome: the skyline, P1's skyline rows, the complete set
-    and the ``engine.tuple`` accounting.
+    advances a set of tasks by one round and posts their requests in
+    evaluation order, and :meth:`decide` records a tuple's outcome: the
+    skyline, P1's skyline rows, the complete set and the
+    ``engine.tuple`` accounting.
     """
 
     def __init__(
@@ -187,32 +188,34 @@ class Evaluation:
         waits for ``c(t)``), so dropping the complete non-skyline
         tuples (Corollary 1) leaves exactly ``t``'s dominators among
         them. Without P1 it is read off every kept row. All the
-        columns are gathered in one step and become Python ints once;
-        P2 is one grouped ``sky_ac`` call, and each task then builds
-        only its probe ladder.
+        columns are gathered in one step, and ``nonzero`` lays their
+        members end to end with each one's index into ``ts``: P2 is
+        one ``sky_ac`` call over those two arrays, which returns a keep
+        mask. The survivors become Python ints once, and each task then
+        builds only its probe ladder.
         """
         context = self.context
         rows = context.order
         if self._use_p1:
             rows = rows[self._row_ranks[: self._row_count]]
         hits = context.matrix.T[np.asarray(ts)[:, None], rows]
-        _, at = hits.nonzero()
-        members = rows[at].tolist()
-        groups: List[List[int]] = []
-        begin = 0
-        for end in hits.sum(axis=1).cumsum().tolist():
-            groups.append(members[begin:end])
-            begin = end
+        group, at = hits.nonzero()
+        members = rows[at]
         if self._use_p2:
-            groups = context.prefs.sky_ac(groups)
+            keep = context.prefs.sky_ac(members, group)
+            members, group = members[keep], group[keep]
+        ends = np.bincount(group, minlength=len(ts)).cumsum().tolist()
+        members = members.tolist()
         tasks = []
-        for t, ds in zip(ts, groups):
+        begin = 0
+        for t, end in zip(ts, ends):
             task = TupleTask(
-                t, ds, context.prefs, context.frequency,
+                t, members[begin:end], context.prefs, context.frequency,
                 **self._task_options,
             )
             task.activate()
             tasks.append(task)
+            begin = end
         return tasks
 
     def decide(self, t: int, outcome: TaskOutcome) -> None:
@@ -239,13 +242,17 @@ class Evaluation:
         self._row_count = count + 1
 
     def step(self, tasks: Iterable[TupleTask]) -> List[TupleTask]:
-        """Advance ``tasks`` by one round; return those still running.
+        """Advance ``tasks`` by one round; return those still running,
+        in evaluation order.
 
         A task with nothing left to ask is decided before the next task
-        is drawn from ``tasks``, so a lazy policy can ready the tuples
-        that wait on it in the same pass. The other tasks' requests are
-        posted together as one round, and a task abandons a request the
-        crowd gave up on.
+        is drawn from ``tasks``, so a lazy policy can ready and start
+        the tuples that wait on it in the same pass. The other tasks'
+        requests are posted together as one round in evaluation order
+        (by ``_rank``), whatever order the tasks arrive in, so a policy
+        may hand them over in waves; the question order, and with it
+        the crowd's random draws, depend only on which tasks ask. A
+        task abandons a request the crowd gave up on.
         """
         running: List[TupleTask] = []
         requests: List[Request] = []
@@ -256,6 +263,12 @@ class Evaluation:
             else:
                 running.append(task)
                 requests.append(request)
+        if len(requests) > 1:
+            order = np.argsort(
+                self._rank[[task.t for task in running]]
+            ).tolist()
+            running = [running[i] for i in order]
+            requests = [requests[i] for i in order]
         if requests:
             context = self.context
             ask_batch(context, requests)

@@ -24,7 +24,6 @@ per-tuple state machine and pruning rules and preserve its correctness
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
@@ -187,26 +186,26 @@ def parallel_sl(
 
 def _sl_policy(evaluation: Evaluation) -> None:
     """Each round, every undecided tuple whose direct dominators
-    ``c(t)`` are complete, in evaluation order.
-
-    Tasks are drawn into a round lazily, in evaluation order. A tuple
-    decided while the round is being gathered readies the tuples waiting
-    on it in the same pass: it dominates them, so its ``DS`` is a strict
-    subset of theirs, and they all lie after it in evaluation order.
+    ``c(t)`` are complete.
 
     Readiness is event-driven: each pending tuple counts its direct
     dominators that are not yet complete, and each tuple lists the
     positions of the tuples waiting on it, so a decision touches only
-    its waiters. A position heap orders the pass, and the running tasks
-    carry over into the next round's heap. The draws are those of a
-    scan of every pending tuple, repeated until a scan decides nothing.
+    its waiters.
 
-    On reaching a ready position without a task, the pass activates it
-    together with every ready position already queued, in one
-    :meth:`~repro.core.crowdsky.Evaluation.start`. Each of them gets
-    the task it would get one at a time: its ``DS`` members are all
-    complete already, and the closure does not change until the round
-    is posted.
+    A pass runs in waves. The first wave advances the running tasks
+    (in the first pass, the tasks of the tuples ready from the start).
+    Every tuple that wave's decisions readied is then activated in one
+    :meth:`~repro.core.crowdsky.Evaluation.start`, and the next wave
+    advances those tasks. Waves repeat only while a newly activated
+    task decides on its first advance, which needs its questions known
+    before any was asked: visible tuples, for example. Each started
+    tuple gets the task it would get alone, since its ``DS`` members
+    are all complete already and the closure does not change until the
+    round is posted. :meth:`~repro.core.crowdsky.Evaluation.step`
+    posts the round in evaluation order, so a pass asks the questions
+    of a scan of every pending tuple in evaluation order, repeated
+    until a scan decides nothing.
     """
     context = evaluation.context
     complete = evaluation.complete
@@ -222,42 +221,43 @@ def _sl_policy(evaluation: Evaluation) -> None:
     # waiters[s]: positions of the pending tuples that wait on s.
     blocked: List[int] = []
     waiters: Dict[int, List[int]] = {}
-    queue: List[int] = []
+    ready: List[int] = []
     for i, t in enumerate(pending):
         blockers = [s for s in cover[t] if s not in complete]
         blocked.append(len(blockers))
         for s in blockers:
             waiters.setdefault(s, []).append(i)
         if not blockers:
-            queue.append(i)
-    # The running tasks, by position.
-    tasks: Dict[int, TupleTask] = {}
+            ready.append(i)
 
-    def ready(heap: List[int]) -> Iterator[TupleTask]:
-        while heap:
-            i = heapq.heappop(heap)
-            if i not in tasks:
-                batch = [i] + sorted(j for j in heap if j not in tasks)
-                started = evaluation.start([pending[j] for j in batch])
-                tasks.update(zip(batch, started))
-            task = tasks[i]
-            yield task
-            if task.t in complete:
-                del tasks[i]
-                for waiter in waiters.pop(task.t, ()):
-                    blocked[waiter] -= 1
-                    if not blocked[waiter]:
-                        heapq.heappush(heap, waiter)
+    def activate(positions: List[int]) -> List[TupleTask]:
+        if not positions:
+            return []
+        positions.sort()
+        return evaluation.start([pending[i] for i in positions])
+
+    def waves(wave: List[TupleTask]) -> Iterator[TupleTask]:
+        while wave:
+            readied: List[int] = []
+            for task in wave:
+                yield task
+                if task.t in complete:
+                    for waiter in waiters.pop(task.t, ()):
+                        blocked[waiter] -= 1
+                        if not blocked[waiter]:
+                            readied.append(waiter)
+            wave = activate(readied)
 
     with phase("evaluate"):
-        wave = 0
+        running = activate(ready)
+        layer = 0
         while len(complete) < context.n:
-            wave += 1
-            # Each activation wave is one "layer" for attribution.
-            context.crowd.set_cost_context(phase="evaluate", layer=wave)
-            if not evaluation.step(ready(queue)) and len(complete) < context.n:
+            layer += 1
+            # Each pass is one "layer" for attribution.
+            context.crowd.set_cost_context(phase="evaluate", layer=layer)
+            running = evaluation.step(waves(running))
+            if not running and len(complete) < context.n:
                 raise CrowdSkyError(  # pragma: no cover
                     "ParallelSL deadlock: tuples waiting on incomplete "
                     "dominators with no questions in flight"
                 )
-            queue = sorted(tasks)

@@ -674,16 +674,21 @@ class PreferenceSystem:
             rel is Preference.EQUAL for rel in self.pair_relations(u, v)
         )
 
-    def sky_ac(self, groups: Sequence[Sequence[int]]) -> List[List[int]]:
+    def sky_ac(
+        self, members: Sequence[int], group: Sequence[int]
+    ) -> np.ndarray:
         """``SKY_AC`` of each member group under current knowledge
-        (§3.3).
+        (§3.3), as a keep mask over ``members``.
 
-        Each group holds distinct tuples; groups may share tuples. In
-        each group, members strictly AC-dominated by another member of
-        the same group are removed, and fully tied members are
-        deduplicated (keeping the lowest index) — a tied twin answers
-        the same questions, so asking both is redundant. Order of the
-        survivors follows the group.
+        The groups are laid end to end in ``members``, and ``group[i]``
+        is the index of member ``i``'s group, non-decreasing: exactly
+        the ``(row, column)`` split of a ``nonzero()`` over a matrix of
+        one row per group. Each group holds distinct tuples; groups may
+        share tuples and indices may be skipped. In each group, members
+        strictly AC-dominated by another member of the same group are
+        dropped, and fully tied members are deduplicated (keeping the
+        lowest index) — a tied twin answers the same questions, so
+        asking both is redundant.
 
         The evaluate phase calls this once per batch of activations,
         one group per tuple's ``DS(t)``; multiway probing calls it with
@@ -692,13 +697,21 @@ class PreferenceSystem:
         graph runs :meth:`_sky_ac_pairs`, the specification the
         differential suite holds the kernel to, once per group.
         """
+        members = np.asarray(members, dtype=np.int64)
+        group = np.asarray(group, dtype=np.int64)
         if isinstance(self.graphs[0], NumpyPreferenceGraph):
-            return self._sky_ac_numpy(groups)
-        return [self._sky_ac_pairs(group) for group in groups]
+            return self._sky_ac_numpy(members, group)
+        keep = np.ones(len(members), dtype=bool)
+        bounds = (np.flatnonzero(np.diff(group)) + 1).tolist()
+        for begin, end in zip([0, *bounds], [*bounds, len(members)]):
+            keep[begin:end] = self._sky_ac_pairs(
+                members[begin:end].tolist()
+            )
+        return keep
 
-    def _sky_ac_pairs(self, members: Sequence[int]) -> List[int]:
-        """``SKY_AC`` of one group by the pair loop."""
-        survivors: List[int] = []
+    def _sky_ac_pairs(self, members: Sequence[int]) -> List[bool]:
+        """Keep flags of one group's members by the pair loop."""
+        keep: List[bool] = []
         for v in members:
             dominated = False
             for u in members:
@@ -715,41 +728,37 @@ class PreferenceSystem:
                     if u < v:
                         dominated = True  # full tie: keep lowest index
                         break
-            if not dominated:
-                survivors.append(v)
-        return survivors
+            keep.append(not dominated)
+        return keep
 
     def _sky_ac_numpy(
-        self, groups: Sequence[Sequence[int]]
-    ) -> List[List[int]]:
-        """Vectorized ``SKY_AC`` of every group at once, for any
-        ``|AC|`` (numpy graph).
+        self, members: np.ndarray, group: np.ndarray
+    ) -> np.ndarray:
+        """Vectorized ``SKY_AC`` keep mask of every group at once, for
+        any ``|AC|`` (numpy graph).
 
-        The members of all groups of two or more are laid end to end.
         Each member ``a`` gets one row of the tuples it AC-dominates,
         ``∩_j (desc_j | cls_j)[root_j(a)] & ∪_j desc_j[root_j(a)]``:
         ``b`` is in it when ``b`` lies at or below ``a``'s class on every
         attribute and strictly below on some attribute, which is the
         pair loop's strict test. One ``np.bitwise_or.reduceat`` ORs the
-        rows of each group (every segment holds two or more rows), and a
-        member is dominated when its own bit is in its group's union.
-        ``a`` never dominates itself, since ``a`` is in no ``desc`` row
-        of its own root, and full twins never dominate each other, since
-        each lies in the other's ``cls`` and not its ``desc``. Fully
-        tied twins share their class on every attribute, so one
-        ``lexsort`` over the members' group and per-attribute roots
-        brings each group's twins together, and each set of twins keeps
-        its lowest index. Equivalent to the pair loop bit for bit.
+        rows of each group (a segment starts wherever ``group``
+        changes), and a member is dominated when its own bit is in its
+        group's union. ``a`` never dominates itself, since ``a`` is in
+        no ``desc`` row of its own root, so a group of one keeps its
+        member, and full twins never dominate each other, since each
+        lies in the other's ``cls`` and not its ``desc``. Fully tied
+        twins share their class on every attribute, so one ``lexsort``
+        over the members' group and per-attribute roots brings each
+        group's twins together, and each set of twins keeps its lowest
+        index. Equivalent to the pair loop bit for bit.
         """
-        out = [list(group) for group in groups]
-        large = [index for index, group in enumerate(out) if len(group) > 1]
-        if not large:
-            return out
-        sizes = [len(out[index]) for index in large]
-        m = np.array(
-            [v for index in large for v in out[index]], dtype=np.int64
-        )
-        group_of = np.arange(len(large)).repeat(sizes)
+        m = members
+        if len(m) < 2:
+            return np.ones(len(m), dtype=bool)
+        first = np.empty(len(m), dtype=bool)
+        first[0] = True
+        np.not_equal(group[1:], group[:-1], out=first[1:])
         weak_all = strict_any = None
         roots = []
         for graph in self.graphs:
@@ -762,16 +771,18 @@ class PreferenceSystem:
             else:
                 weak_all &= desc | graph._cls[root]
                 strict_any |= desc
-        starts = np.cumsum([0] + sizes[:-1])
-        union = np.bitwise_or.reduceat(weak_all & strict_any, starts)
+        union = np.bitwise_or.reduceat(
+            weak_all & strict_any, np.flatnonzero(first)
+        )
+        segment = np.cumsum(first) - 1
         dominated = (
-            (union[group_of, m >> 6] >> (m & 63).astype(np.uint64))
+            (union[segment, m >> 6] >> (m & 63).astype(np.uint64))
             & np.uint64(1)
         ) != 0
         # The group shares one key with the first root (roots are below
         # n). Sorted by the keys and then by index, a member that
         # repeats its predecessor's keys has a lower-indexed twin.
-        keys = [group_of * self._n + roots[0]] + roots[1:]
+        keys = [group * self._n + roots[0]] + roots[1:]
         order = np.lexsort([m] + keys)
         same = True
         for key in keys:
@@ -779,14 +790,7 @@ class PreferenceSystem:
             same = same & (ranked[1:] == ranked[:-1])
         tied = np.zeros(len(m), dtype=bool)
         tied[order[1:]] = same
-        keep = ~(dominated | tied)
-        survivors = m[keep].tolist()
-        counts = np.bincount(group_of[keep], minlength=len(large)).tolist()
-        start = 0
-        for index, count in zip(large, counts):
-            out[index] = survivors[start:start + count]
-            start += count
-        return out
+        return ~(dominated | tied)
 
     def open_pairs(
         self, members: Sequence[int]

@@ -244,7 +244,11 @@ class TupleTask:
             # next group of up to k mutually-unresolved members.
             version = self._prefs.version
             if version != self._reduced_at:
-                self._ds = self._prefs.sky_ac([self._ds])[0]
+                members = np.asarray(self._ds, dtype=np.int64)
+                keep = self._prefs.sky_ac(
+                    members, np.zeros(len(members), dtype=np.int64)
+                )
+                self._ds = members[keep].tolist()
                 self._reduced_at = version
             if len(self._ds) <= 1:
                 self.state = TaskState.ASKING

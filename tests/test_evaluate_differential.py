@@ -5,8 +5,9 @@ its probe ladder with a cursor and a set of live members, and the
 schedulers read every ``DS(t)`` off the dominance matrix. The evaluate
 phase activates every tuple a policy has ready in one
 :meth:`~repro.core.crowdsky.Evaluation.start`: P1 reads the columns
-over the skyline rows found so far, and P2 is one grouped ``sky_ac``
-call. This module keeps the earlier formulation as the specification:
+over the skyline rows found so far, and P2 is one ``sky_ac`` call over
+their members laid end to end. This module keeps the earlier
+formulation as the specification:
 
 * :class:`SpecTupleTask` — the ladder over every pair of ``DS(t)``,
   sorted in Python, where the program leaves out the pairs the closure
@@ -25,16 +26,20 @@ call. This module keeps the earlier formulation as the specification:
   :func:`spec_disjoint_batches`, which drops them from each ``DS(t)``
   where the program's batches use whole matrix columns;
 * :func:`spec_sl_policy` — ParallelSL's readiness as a rescan of every
-  pending tuple on every pass, where the program counts each tuple's
-  open direct dominators, orders each pass with a position heap and
-  activates the ready tuples it has queued together.
+  pending tuple on every pass, each activated alone as the scan reaches
+  it, where the program counts each tuple's open direct dominators and
+  runs each pass in waves, activating every tuple a wave readied in one
+  start, and :meth:`Evaluation.step` posts the round in evaluation
+  order.
 
 Both sides must ask the same questions in the same rounds and return
 the same skyline, for every scheduler, pruning level, ``|AC|`` of 1 or
 2, ``multiway`` of 2 or 3 and either probe order, on drawn relations
 (duplicate- and tie-heavy ones included) under perfect, seeded noisy and
 fault-injecting crowds — the last so that ``abandon_request`` runs in
-the middle of a ladder. Every run is made on both closure graphs
+the middle of a ladder — with a drawn set of visible tuples, whose
+seeded preferences let a ParallelSL task decide on its first advance.
+Every run is made on both closure graphs
 (:func:`tests.closure_graphs.closure_graph`), and the program's runs on
 the two graphs must agree too.
 
@@ -87,6 +92,7 @@ from repro.questions import Preference
 from repro.skyline.layers import covering_graph_from_matrix
 from tests.closure_graphs import GRAPHS, closure_graph
 from tests.conftest import make_relation
+from tests.sky_ac_groups import sky_ac_groups
 from tests.strategies import crowd_relations
 
 pytestmark = pytest.mark.pref
@@ -96,18 +102,20 @@ pytestmark = pytest.mark.pref
 crowdsky_module = importlib.import_module("repro.core.crowdsky")
 parallel_module = importlib.import_module("repro.core.parallel")
 
+#: Every scheduler but the budgeted one takes a ``visible`` keyword,
+#: its ``visible_crowd``.
 SCHEDULERS = {
-    "crowdsky": lambda relation, crowd, config: crowdsky(
-        relation, crowd, config=config
+    "crowdsky": lambda relation, crowd, config, visible=None: crowdsky(
+        relation, crowd, config=config, visible_crowd=visible
     ),
     "crowdsky_budgeted": lambda relation, crowd, config: crowdsky_budgeted(
         relation, 2 * len(relation), crowd, config=config
     ),
-    "parallel_dset": lambda relation, crowd, config: parallel_dset(
-        relation, crowd, config=config
+    "parallel_dset": lambda relation, crowd, config, visible=None: (
+        parallel_dset(relation, crowd, config=config, visible_crowd=visible)
     ),
-    "parallel_sl": lambda relation, crowd, config: parallel_sl(
-        relation, crowd, config=config
+    "parallel_sl": lambda relation, crowd, config, visible=None: parallel_sl(
+        relation, crowd, config=config, visible_crowd=visible
     ),
 }
 
@@ -237,7 +245,7 @@ class SpecTupleTask:
             and self._use_p3
             and self._multiway > 2
         ):
-            self._ds = self._prefs.sky_ac([self._ds])[0]
+            self._ds = sky_ac_groups(self._prefs, [self._ds])[0]
             if len(self._ds) <= 1:
                 self.state = TaskState.ASKING
                 break
@@ -326,7 +334,7 @@ def spec_start(evaluation, ts):
         if evaluation._use_p1:
             ds = [s for s in ds if s not in SpecTupleTask.non_skyline]
         if evaluation._use_p2:
-            ds = context.prefs.sky_ac([ds])[0]
+            ds = sky_ac_groups(context.prefs, [ds])[0]
         task = SpecTupleTask(
             t, ds, context.prefs, context.frequency,
             **evaluation._task_options,
@@ -512,13 +520,17 @@ def outputs(result):
     )
 
 
-def run_both(relation, scheduler, config, crowd_kind, seed):
+def run_both(relation, scheduler, config, crowd_kind, seed, visible=None):
     """(change, spec) outputs of one scheduler run on fresh crowds, each
-    by closure graph name; the change's runs on the two graphs agree."""
+    by closure graph name; the change's runs on the two graphs agree.
+    ``visible``, when not None, is the run's ``visible_crowd``."""
+    options = {} if visible is None else {"visible": visible}
 
     def run():
         crowd = make_crowd(relation, crowd_kind, seed)
-        return outputs(SCHEDULERS[scheduler](relation, crowd, config))
+        return outputs(
+            SCHEDULERS[scheduler](relation, crowd, config, **options)
+        )
 
     change, spec = {}, {}
     for name in GRAPHS:
@@ -549,14 +561,24 @@ def run_both(relation, scheduler, config, crowd_kind, seed):
     st.booleans(),
     st.sampled_from(["perfect", "noisy", "faulty"]),
     st.integers(0, 2 ** 16),
+    st.sets(st.integers(0, 13)),
 )
 def test_evaluate_phase_matches_spec(
-    relation, scheduler, pruning, multiway, probe_ascending, crowd_kind, seed
+    relation, scheduler, pruning, multiway, probe_ascending, crowd_kind, seed,
+    visible,
 ):
+    """``visible`` draws the visible tuples among the relation's (at
+    most 14) rows, possibly none; the budgeted run takes none."""
     config = CrowdSkyConfig(
         pruning=pruning, multiway=multiway, probe_ascending=probe_ascending
     )
-    change, spec = run_both(relation, scheduler, config, crowd_kind, seed)
+    if scheduler == "crowdsky_budgeted":
+        visible = None
+    else:
+        visible = sorted(t for t in visible if t < len(relation))
+    change, spec = run_both(
+        relation, scheduler, config, crowd_kind, seed, visible
+    )
     assert change == spec
 
 
@@ -593,15 +615,19 @@ def test_faulty_runs_abandon_mid_ladder_and_match_spec(scheduler, num_crowd):
 def test_sl_readiness_matches_rescan_at_n40(
     distribution, num_crowd, crowd_kind
 ):
-    """ParallelSL's event-driven readiness draws each round's tasks in
-    the rescan's order. The property's relations are too small to tell
-    a tuple readied in the current pass from one deferred to the next,
-    so these runs are larger."""
+    """ParallelSL's event-driven readiness asks each round's questions
+    in the rescan's order. The property's relations are too small to
+    tell a tuple readied in the current pass from one deferred to the
+    next, so these runs are larger. With every second tuple visible, a
+    task activated mid-pass can decide on its first advance, so a pass
+    runs a second wave of activations."""
     relation = generate_synthetic(40, 2, num_crowd, distribution, seed=23)
-    change, spec = run_both(
-        relation, "parallel_sl", CrowdSkyConfig(), crowd_kind, seed=29
-    )
-    assert change == spec
+    for visible in (None, range(0, 40, 2)):
+        change, spec = run_both(
+            relation, "parallel_sl", CrowdSkyConfig(), crowd_kind, seed=29,
+            visible=visible,
+        )
+        assert change == spec
 
 
 def duplicate_heavy_relation(n, num_crowd, shape, seed):

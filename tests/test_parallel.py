@@ -1,11 +1,24 @@
 """Tests for the parallel schedulers, pinned against the paper's rounds."""
 
+from collections import Counter
+from unittest import mock
+
+import numpy as np
 import pytest
 
-from repro.core.crowdsky import CrowdSkyConfig, PruningLevel, crowdsky
+from repro.core.crowdsky import (
+    CrowdSkyConfig,
+    Evaluation,
+    PruningLevel,
+    crowdsky,
+)
+from repro.core.engine import build_context
 from repro.core.parallel import parallel_dset, parallel_sl
+from repro.core.tasks import TaskOutcome
 from repro.crowd.journal import recover_journal
 from repro.crowd.platform import SimulatedCrowd
+from repro.crowd.voting import StaticVoting
+from repro.crowd.workers import WorkerPool
 from repro.data.synthetic import Distribution, generate_synthetic
 from repro.data.toy import FIGURE1_SKYLINE_LABELS, figure1_dataset
 from repro.exceptions import CrowdSkyError
@@ -160,3 +173,74 @@ class TestRoundRobinRefused:
             )
         assert crowd.stats.questions == 0
         assert recover_journal(journal).header is None
+
+
+class TestPassWaves:
+    """A ParallelSL pass activates the tuples each wave of decisions
+    readies in one ``Evaluation.start``, and ``Evaluation.step`` posts
+    the round in evaluation order whatever order the waves hand it."""
+
+    def test_one_start_per_pass_without_visible_tuples(self):
+        """Without visible tuples no task decides on its first advance
+        (it is in no question before it starts), so each pass has one
+        wave of activations: one ``start`` per pass that activates a
+        tuple."""
+        relation = generate_synthetic(
+            300, 2, 1, Distribution.ANTI_CORRELATED, seed=7
+        )
+        crowd = SimulatedCrowd(
+            relation,
+            pool=WorkerPool.uniform(size=9, accuracy=0.8),
+            voting=StaticVoting(5),
+            seed=7,
+        )
+        passes = Counter()
+        starts = Counter()
+        step, start = Evaluation.step, Evaluation.start
+
+        def counting_step(evaluation, tasks):
+            passes["steps"] += 1
+            return step(evaluation, tasks)
+
+        def counting_start(evaluation, ts):
+            starts[passes["steps"]] += 1
+            return start(evaluation, ts)
+
+        with mock.patch.object(Evaluation, "step", counting_step), \
+                mock.patch.object(Evaluation, "start", counting_start):
+            result = parallel_sl(relation, crowd)
+        assert len(starts) > result.stats.rounds // 2
+        assert set(starts.values()) == {1}
+
+    def test_step_posts_in_evaluation_order(self):
+        """Tasks handed to ``step`` in reverse evaluation order ask the
+        same questions in the same order as in evaluation order, and
+        the running tasks come back in evaluation order."""
+        relation = generate_synthetic(
+            60, 2, 1, Distribution.ANTI_CORRELATED, seed=3
+        )
+        logs, returned = [], []
+        for reverse in (False, True):
+            crowd = SimulatedCrowd(relation, seed=1)
+            context = build_context(relation, crowd)
+            evaluation = Evaluation(context, CrowdSkyConfig())
+            keep = context.keep
+            for t in context.eval_order():
+                if not context.ds_sizes[t]:
+                    evaluation.decide(t, TaskOutcome.SKYLINE)
+            ready = [
+                t for t in context.eval_order()
+                if context.ds_sizes[t] and all(
+                    s in evaluation.complete
+                    for s in np.flatnonzero(context.matrix[:, t] & keep)
+                )
+            ]
+            tasks = evaluation.start(ready)
+            running = evaluation.step(tasks[::-1] if reverse else tasks)
+            logs.append(list(crowd.question_log))
+            returned.append([task.t for task in running])
+        assert len(ready) > 2 and len(logs[0]) > 2
+        assert logs[1] == logs[0]
+        assert returned[1] == returned[0] == [
+            t for t in ready if t in returned[0]
+        ]

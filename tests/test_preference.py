@@ -16,6 +16,7 @@ from repro.core.preference import (
     ReferencePreferenceGraph,
 )
 from repro.questions import Preference
+from tests.sky_ac_groups import sky_ac_groups
 
 L, R, E = Preference.LEFT, Preference.RIGHT, Preference.EQUAL
 
@@ -216,16 +217,16 @@ class TestPreferenceSystem:
         system = PreferenceSystem(5, 1, graph=graph_class)
         system.add_answer(0, 1, 0, L)  # 0 ≺ 1
         system.add_answer(1, 2, 0, L)  # 1 ≺ 2 (so 0 ≺ 2)
-        assert system.sky_ac([[0, 1, 2, 3]]) == [[0, 3]]
+        assert sky_ac_groups(system, [[0, 1, 2, 3]]) == [[0, 3]]
 
     def test_sky_ac_dedupes_full_ties(self, graph_class):
         system = PreferenceSystem(5, 1, graph=graph_class)
         system.add_answer(1, 3, 0, E)
-        assert system.sky_ac([[1, 3]]) == [[1]]
+        assert sky_ac_groups(system, [[1, 3]]) == [[1]]
 
     def test_sky_ac_keeps_unknown_members(self, graph_class):
         system = PreferenceSystem(5, 1, graph=graph_class)
-        assert system.sky_ac([[2, 0, 4]]) == [[2, 0, 4]]
+        assert sky_ac_groups(system, [[2, 0, 4]]) == [[2, 0, 4]]
 
     def test_total_rejected_sums_attributes(self, graph_class):
         system = PreferenceSystem(5, 2, graph=graph_class)

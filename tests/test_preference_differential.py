@@ -31,6 +31,7 @@ from repro.questions import Preference
 from repro.crowd.workers import WorkerPool
 from repro.data.synthetic import Distribution, generate_synthetic
 from tests.closure_graphs import GRAPHS, closure_graph
+from tests.sky_ac_groups import sky_ac_groups
 from tests.strategies import (
     DIFFERENTIAL_SETTINGS,
     ROBUSTNESS_SETTINGS,
@@ -264,7 +265,8 @@ class TestGraphDifferential:
         order = data.draw(st.permutations(range(n)))
         for size in range(n + 1):
             assert_graphs_agree({
-                b: s.sky_ac([order[:size]]) for b, s in systems.items()
+                b: sky_ac_groups(s, [order[:size]])
+                for b, s in systems.items()
             })
 
     @settings(parent=DIFFERENTIAL_SETTINGS, max_examples=160)
@@ -290,7 +292,7 @@ class TestGraphDifferential:
             system = PreferenceSystem(n, num_attributes, graph=graph)
             for u, v, attribute, answer in events:
                 system.add_answer(u, v, attribute, answer)
-            assert system.sky_ac(groups) == [
+            assert sky_ac_groups(system, groups) == [
                 spec_sky_ac(system, group) for group in groups
             ], name
 

@@ -28,6 +28,7 @@ from repro.data.synthetic import Distribution, generate_synthetic
 from repro.questions import Preference
 from repro.skyline.dominance import dominance_matrix
 from repro.skyline.dominating import FrequencyOracle
+from tests.sky_ac_groups import split
 
 L, R, E = Preference.LEFT, Preference.RIGHT, Preference.EQUAL
 
@@ -337,17 +338,21 @@ class TestMultiwayProbing:
         sky_ac = PreferenceSystem.sky_ac
         freq_matrix = FrequencyOracle.freq_matrix
 
-        def counting_sky_ac(system, groups):
+        def counting_sky_ac(system, members, group):
             calls["sky_ac"] += 1
             version = system.version
-            for group in groups:
-                if len(group) > 1:
+            count = int(group.max()) + 1 if len(group) else 0
+            for members_of in split(members, group, count):
+                if len(members_of) > 1:
                     calls["groups"] += 1
-                    if reduced.get(tuple(group)) == version:
+                    if reduced.get(tuple(members_of)) == version:
                         calls["redundant"] += 1
-            out = sky_ac(system, groups)
-            reduced.update((tuple(group), version) for group in out)
-            return out
+            keep = sky_ac(system, members, group)
+            reduced.update(
+                (tuple(survivors), version)
+                for survivors in split(members[keep], group[keep], count)
+            )
+            return keep
 
         def counting_freq_matrix(oracle, members):
             calls["freq"] += 1
