@@ -4,26 +4,12 @@
 group's index, and returns a keep mask over the members. The tests
 state their cases as lists of groups, so :func:`sky_ac_groups` lays
 them end to end and splits the mask back into one survivor list per
-group; :func:`end_to_end` and :func:`split` are its two halves.
+group with :func:`split`.
 """
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
-
-
-def end_to_end(
-    groups: Sequence[Sequence[int]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The members of ``groups`` laid end to end, and each member's
-    group index."""
-    members = np.array(
-        [v for members in groups for v in members], dtype=np.int64
-    )
-    group = np.repeat(
-        np.arange(len(groups)), [len(members) for members in groups]
-    )
-    return members, group
 
 
 def split(
@@ -36,6 +22,7 @@ def split(
 def sky_ac_groups(system, groups: Sequence[Sequence[int]]) -> List[List[int]]:
     """The survivors of ``system.sky_ac`` in each of ``groups``, in
     group order."""
-    members, group = end_to_end(groups)
+    members = np.array([v for ds in groups for v in ds], dtype=np.int64)
+    group = np.repeat(np.arange(len(groups)), [len(ds) for ds in groups])
     keep = system.sky_ac(members, group)
     return split(members[keep], group[keep], len(groups))

@@ -620,7 +620,8 @@ def test_sl_readiness_matches_rescan_at_n40(
     tell a tuple readied in the current pass from one deferred to the
     next, so these runs are larger. With every second tuple visible, a
     task activated mid-pass can decide on its first advance, so a pass
-    runs a second wave of activations."""
+    can run a second wave of activations (one to three passes do, in
+    all but the two independent runs with two crowd attributes)."""
     relation = generate_synthetic(40, 2, num_crowd, distribution, seed=23)
     for visible in (None, range(0, 40, 2)):
         change, spec = run_both(
