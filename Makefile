@@ -131,8 +131,9 @@ experiments:
 experiments-paper:
 	python -m repro.experiments run all --scale paper
 
+# Run every example script; stop at the first one that exits non-zero.
 examples:
-	@for f in examples/*.py; do echo "== $$f"; python $$f; echo; done
+	@for f in examples/*.py; do echo "== $$f"; python $$f || exit 1; echo; done
 
 # Record a small traced IND run, then validate the JSONL trace against
 # the event schema (an unregistered event name fails it) and check that

@@ -41,7 +41,6 @@ from repro.core.engine import (
 from repro.core.result import CrowdSkylineResult
 from repro.core.tasks import TaskOutcome, TupleTask
 from repro.crowd.platform import SimulatedCrowd
-from repro.questions import Preference
 from repro.data.relation import Relation
 from repro.exceptions import BudgetExhaustedError, CrowdSkyError
 from repro.obs import current_observation, phase, run_span
@@ -300,15 +299,14 @@ class Evaluation:
         unresolved = sorted(
             key for key in crowd.unresolved_keys if len(key) == 3
         )
-        # The closure's memo-hit and update tallies are cumulative, so
-        # they are traced once per run, here, off the hot path.
+        # The closure's update tally is cumulative, so it is traced
+        # once per run, here, off the hot path.
         prefs = context.prefs
         observation = current_observation()
         if observation.enabled:
             observation.tracer.event(
                 "pref.totals",
                 backend=prefs.backend,
-                cache_hits=prefs.cache_hits,
                 closure_updates=prefs.closure_updates(),
             )
         stopped = bool(budget_exhausted)
@@ -480,27 +478,16 @@ def _finalize_default_skyline(evaluation: Evaluation) -> None:
     dominates it in current knowledge (any member counts — even a
     non-skyline one dominates ``t`` in ``A``).
 
-    All candidate pairs are settled against the closure in one batch;
-    each undecided ``DS(t)`` is gathered once and reused (it is fixed
-    here).
+    Members are read from the closure one at a time, and the first that
+    dominates ``t`` ends its walk, so nothing is held beyond one
+    ``DS(t)``.
     """
     context = evaluation.context
     context.crowd.set_cost_context(phase="finalize", tuple=None)
-    candidates = {
-        t: context.ds_in_eval_order(t).tolist()
-        for t in range(context.n)
-        if t not in evaluation.complete
-    }
-    finalize = context.prefs.resolve_pairs(
-        (s, t) for t, members in candidates.items() for s in members
-    )
-    for t, members in candidates.items():
-        dominated = any(
-            all(
-                rel is not None and rel is not Preference.RIGHT
-                for rel in finalize[(s, t)]
-            )
-            for s in members
-        )
-        if not dominated:
+    weakly_prefers_all = context.prefs.weakly_prefers_all
+    for t in range(context.n):
+        if t in evaluation.complete:
+            continue
+        members = context.ds_in_eval_order(t).tolist()
+        if not any(weakly_prefers_all(s, t) for s in members):
             evaluation.skyline.add(t)

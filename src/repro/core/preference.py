@@ -20,9 +20,7 @@ Two graphs implement the closure:
   transitive-closure maintenance: an edge insert reads one column to
   find the classes above its source and ORs the new descendants into
   those rows and the source's own in one ``|=``; a tie merge is the
-  same update plus row retirement. Its
-  :meth:`~NumpyPreferenceGraph.relations_batch` answers whole arrays of
-  pair queries in one gather. Every run is built on it.
+  same update plus row retirement. Every run is built on it.
 * :class:`ReferencePreferenceGraph` — the original per-node
   ``Dict[int, Set[int]]`` adjacency with memoized DFS reachability.
   Kept as the executable specification; its descendant cache is
@@ -33,9 +31,9 @@ Two graphs implement the closure:
 
 :class:`PreferenceSystem` bundles ``|AC|`` graphs and provides the
 AC-level dominance tests used by the pruning rules (Corollaries 1-2,
-Lemma 4), memoized per pair and exposed batch-wise through
-:meth:`PreferenceSystem.resolve_pairs` so schedulers can settle a whole
-candidate round in one closure pass. Round commits go through
+Lemma 4). Each test reads the closure directly, and
+:meth:`PreferenceSystem.resolve_pairs` reads each distinct pair of a
+scheduler's candidate round once. Round commits go through
 :meth:`PreferenceSystem.apply_verdicts` — one *closure transaction* per
 crowd round instead of one closure touch per answer.
 """
@@ -48,16 +46,6 @@ import numpy as np
 
 from repro.questions import Preference
 from repro.obs import current_observation
-
-#: :meth:`_BasePreferenceGraph.relations_batch` code → relation.
-RELATION_CODES: Tuple[Optional[Preference], ...] = (
-    None, Preference.LEFT, Preference.RIGHT, Preference.EQUAL
-)
-
-#: Relation → its :data:`RELATION_CODES` code.
-_CODE_OF: Dict[Optional[Preference], int] = {
-    rel: code for code, rel in enumerate(RELATION_CODES)
-}
 
 #: The 64 one-bit words as numpy scalars, built once: shifting a fresh
 #: scalar on every column read costs a fifth of the read itself.
@@ -82,8 +70,8 @@ class _BasePreferenceGraph:
         self._out: Dict[int, Set[int]] = {}
         self._in: Dict[int, Set[int]] = {}
         self.rejected_answers = 0
-        #: Monotone mutation counter — lets :class:`PreferenceSystem`
-        #: invalidate its pair memo lazily instead of eagerly.
+        #: Monotone mutation counter — lets m-ary probing tell whether
+        #: the closure changed since it last reduced a candidate set.
         self.version = 0
         #: Closure maintenance work (numpy: rows written; reference:
         #: cache invalidations) — exported as the
@@ -210,23 +198,6 @@ class _BasePreferenceGraph:
             (find(int(x)) for x in nodes), dtype=np.int64, count=len(nodes)
         )
 
-    def relations_batch(
-        self, us: Sequence[int], vs: Sequence[int]
-    ) -> np.ndarray:
-        """Relation codes for aligned pair arrays.
-
-        Returns an int8 array: 0 = unknown, 1 = LEFT (``u`` preferred),
-        2 = RIGHT, 3 = EQUAL — see :data:`RELATION_CODES`. This loop
-        over :meth:`relation` is the specification; a graph with
-        packed closure rows overrides it with one gather.
-        """
-        relation = self.relation
-        return np.fromiter(
-            (_CODE_OF[relation(int(u), int(v))] for u, v in zip(us, vs)),
-            dtype=np.int8,
-            count=len(us),
-        )
-
 
 class ReferencePreferenceGraph(_BasePreferenceGraph):
     """The original set-based graph — kept as executable specification.
@@ -315,10 +286,8 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
 
     The relation is read off the same rows: ``v``'s class is strictly
     above ``u``'s exactly when bit ``u`` of ``_desc[root(v)]`` is set, so
-    ``RIGHT`` needs no ancestor rows. :meth:`relations_batch` overrides
-    the base loop with one gather of closure bits for a whole array of
-    pairs; :class:`PreferenceSystem` routes ``resolve_pairs`` through it
-    and vectorizes ``sky_ac`` over the same rows.
+    ``RIGHT`` needs no ancestor rows. :class:`PreferenceSystem`
+    vectorizes ``sky_ac`` and ``open_pairs`` over the same rows.
 
     ``closure_updates`` counts the rows written: for an insert, the
     rows at or above ``src``; for a merge, the rows above either class
@@ -396,46 +365,12 @@ class NumpyPreferenceGraph(_BasePreferenceGraph):
         gather from the representative array."""
         return self._root[np.asarray(nodes, dtype=np.int64)]
 
-    def relations_batch(
-        self, us: Sequence[int], vs: Sequence[int]
-    ) -> np.ndarray:
-        """Relation codes for aligned pair arrays in one gather.
-
-        Returns an int8 array: 0 = unknown, 1 = LEFT (``u`` preferred),
-        2 = RIGHT, 3 = EQUAL — see :data:`RELATION_CODES`.
-        """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        ru = self.find_roots(us)
-        rv = self.find_roots(vs)
-        one = np.uint64(1)
-        left = (
-            self._desc[ru, vs >> 6] >> (vs & 63).astype(np.uint64)
-        ) & one
-        right = (
-            self._desc[rv, us >> 6] >> (us & 63).astype(np.uint64)
-        ) & one
-        codes = np.zeros(len(us), dtype=np.int8)
-        codes[left != 0] = 1
-        codes[right != 0] = 2
-        codes[ru == rv] = 3
-        return codes
-
 
 #: A pair's derivable relation on every crowd attribute (None = unknown).
 PairRelations = Tuple[Optional[Preference], ...]
 
 #: One aggregated crowd verdict: ``(left, right, attribute, answer)``.
 Verdict = Tuple[int, int, int, Preference]
-
-#: Orientation flip as a dict lookup — the memo fill path calls this
-#: once per attribute per miss, where a method call measurably shows up.
-_FLIPPED: Dict[Optional[Preference], Optional[Preference]] = {
-    None: None,
-    Preference.LEFT: Preference.RIGHT,
-    Preference.RIGHT: Preference.LEFT,
-    Preference.EQUAL: Preference.EQUAL,
-}
 
 
 class PreferenceSystem:
@@ -444,11 +379,8 @@ class PreferenceSystem:
     Provides the AC-level predicates used by the pruning machinery. All
     predicates are *knowledge-relative*: they return what is currently
     derivable from answered questions, never consulting latent values.
-
-    Per-pair relation vectors are memoized; the memo is invalidated
-    lazily via the graphs' mutation counters, so bursts of dominance
-    tests between crowd answers (``sky_ac``, probing, Q(t) checks) hit
-    the closure at most once per pair.
+    Every read goes to the graphs, so it always sees the latest
+    accepted answer and keeps nothing.
 
     ``graph`` is the class of the per-attribute graphs. The program
     always builds :class:`NumpyPreferenceGraph`; the tests pass
@@ -467,19 +399,15 @@ class PreferenceSystem:
         #: The graph class's name, stamped on the closure's spans.
         self.backend = graph.backend
         self.graphs = [graph(n) for _ in range(num_attributes)]
-        self._memo: Dict[Tuple[int, int], PairRelations] = {}
-        self._memo_version = 0
-        #: Pair lookups answered from the memo — exported as the
-        #: ``crowdsky_pref_cache_hits_total`` observability counter.
-        self.cache_hits = 0
-        self.cache_misses = 0
+        # Always 0: bound only because perfbench/harness.py reads both.
+        self.cache_hits = self.cache_misses = 0
 
     @property
     def num_attributes(self) -> int:
         """``|AC|``."""
         return len(self.graphs)
 
-    # -- memoized pair resolution ---------------------------------------
+    # -- pair resolution ------------------------------------------------
 
     @property
     def version(self) -> int:
@@ -488,22 +416,8 @@ class PreferenceSystem:
         return sum(graph.version for graph in self.graphs)
 
     def pair_relations(self, u: int, v: int) -> PairRelations:
-        """Derivable relations of ``(u, v)`` on every crowd attribute,
-        memoized until the next accepted answer."""
-        version = self.version
-        if version != self._memo_version:
-            self._memo.clear()
-            self._memo_version = version
-        key = (u, v)
-        rels = self._memo.get(key)
-        if rels is not None:
-            self.cache_hits += 1
-            return rels
-        self.cache_misses += 1
-        rels = tuple(graph.relation(u, v) for graph in self.graphs)
-        self._memo[key] = rels
-        self._memo[(v, u)] = tuple(_FLIPPED[rel] for rel in rels)
-        return rels
+        """Derivable relations of ``(u, v)`` on every crowd attribute."""
+        return tuple(graph.relation(u, v) for graph in self.graphs)
 
     def resolve_pairs(
         self, pairs: Iterable[Tuple[int, int]]
@@ -511,18 +425,11 @@ class PreferenceSystem:
         """Settle many pairs in one closure pass.
 
         Returns ``{(u, v): per-attribute relations}`` for every distinct
-        input pair. Schedulers use this to test a whole candidate round
-        (batch building, probe ladders, budget finalization) against the
-        closure at once instead of re-querying pair by pair.
-
-        Duplicate and symmetric pairs are collapsed before the closure
-        is touched: memo-served pairs never reach the graphs, and of an
-        ``(u, v)`` / ``(v, u)`` twin only one orientation is computed
-        (the other is its flip). The remaining misses resolve through
-        one :meth:`~_BasePreferenceGraph.relations_batch` call per
-        attribute — a single gather on the numpy graph. Under an
-        active trace each pass is one ``pref.resolve`` span, so the
-        profiler can set closure time against crowd time.
+        input pair. ``engine.ask_batch`` uses this to test a whole
+        candidate round against the closure at once. Duplicate pairs
+        are read once. Under an active trace each pass is one
+        ``pref.resolve`` span, so the profiler can set closure time
+        against crowd time.
         """
         unique = dict.fromkeys(pairs)
         observation = current_observation()
@@ -536,47 +443,11 @@ class PreferenceSystem:
     def _resolve_unique(
         self, unique: Dict[Tuple[int, int], None]
     ) -> Dict[Tuple[int, int], PairRelations]:
-        version = self.version
-        if version != self._memo_version:
-            self._memo.clear()
-            self._memo_version = version
-        memo = self._memo
-        out: Dict[Tuple[int, int], PairRelations] = {}
-        missing: List[Tuple[int, int]] = []
-        for pair in unique:
-            rels = memo.get(pair)
-            if rels is not None:
-                out[pair] = rels
-            else:
-                missing.append(pair)
-        self.cache_hits += len(out)
-        if not missing:
-            return out
-        # Canonicalize symmetric twins: each unordered pair hits the
-        # closure once; the reverse orientation is a memo flip.
-        canonical: List[Tuple[int, int]] = []
-        seen: Set[Tuple[int, int]] = set()
-        for u, v in missing:
-            key = (u, v) if u <= v else (v, u)
-            if key not in seen:
-                seen.add(key)
-                canonical.append(key)
-        self.cache_misses += len(canonical)
-        self.cache_hits += len(missing) - len(canonical)
-        us = np.fromiter(
-            (p[0] for p in canonical), dtype=np.int64, count=len(canonical)
-        )
-        vs = np.fromiter(
-            (p[1] for p in canonical), dtype=np.int64, count=len(canonical)
-        )
-        per_attr = [graph.relations_batch(us, vs) for graph in self.graphs]
-        for index, key in enumerate(canonical):
-            rels = tuple(RELATION_CODES[codes[index]] for codes in per_attr)
-            memo[key] = rels
-            memo[(key[1], key[0])] = tuple(_FLIPPED[rel] for rel in rels)
-        for pair in missing:
-            out[pair] = memo[pair]
-        return out
+        graphs = self.graphs
+        return {
+            (u, v): tuple(graph.relation(u, v) for graph in graphs)
+            for u, v in unique
+        }
 
     # -- closure transactions -------------------------------------------
 

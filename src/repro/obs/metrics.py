@@ -36,9 +36,6 @@ CACHE_HITS = "crowdsky_cache_hits_total"
 #: Attribute-questions answerable from the preference graph (directly or
 #: via transitivity) without asking the crowd.
 QUESTIONS_SAVED_TRANSITIVITY = "crowdsky_questions_saved_transitivity_total"
-#: Pair-relation lookups answered from the preference system's memo
-#: (no closure query needed), labelled by ``backend``.
-PREF_CACHE_HITS = "crowdsky_pref_cache_hits_total"
 #: Incremental transitive-closure maintenance updates (reference cache
 #: invalidations or numpy closure-row writes), labelled by ``backend``.
 CLOSURE_UPDATES = "crowdsky_closure_updates_total"
@@ -105,8 +102,6 @@ DEFAULT_HELP: Dict[str, str] = {
     CACHE_HITS: "Questions served from the platform answer cache",
     QUESTIONS_SAVED_TRANSITIVITY:
         "Attribute-questions derived from the preference graph for free",
-    PREF_CACHE_HITS:
-        "Pair-relation lookups served from the preference-system memo",
     CLOSURE_UPDATES:
         "Transitive-closure maintenance updates in the preference graphs",
     RETRIES: "Question re-posts after an injected fault",
@@ -402,13 +397,8 @@ def metrics_from_events(
         elif name == "engine.tuple":
             counter(TUPLES_EVALUATED, outcome=attrs["outcome"]).inc()
         elif name == "pref.totals":
-            backend = attrs["backend"]
-            if attrs["cache_hits"]:
-                counter(PREF_CACHE_HITS, backend=backend).inc(
-                    attrs["cache_hits"]
-                )
             if attrs["closure_updates"]:
-                counter(CLOSURE_UPDATES, backend=backend).inc(
+                counter(CLOSURE_UPDATES, backend=attrs["backend"]).inc(
                     attrs["closure_updates"]
                 )
         elif name == "shard.stats":

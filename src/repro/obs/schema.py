@@ -99,12 +99,8 @@ EVENT_ATTRS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     "journal.append": {"records": (int,)},
     "engine.tuple": {"t": (int,), "outcome": (str,)},
     "engine.visible_seed": {"edges": (int,)},
-    # A run's closure memo hits and closure updates, once per run.
-    "pref.totals": {
-        "backend": (str,),
-        "cache_hits": (int,),
-        "closure_updates": (int,),
-    },
+    # A run's closure updates, once per run.
+    "pref.totals": {"backend": (str,), "closure_updates": (int,)},
     # The sharded machine phase's merge traffic and dominance checks.
     "shard.stats": {
         "shipped": (int,),

@@ -18,7 +18,6 @@ from tests.strategies.preferences import (
     answer_events,
     answer_sequences,
     consistent_answer_sequences,
-    pair_query_batches,
     small_relations,
     verdict_rounds,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "known_matrices",
     "lossy_fault_plans",
     "module_names",
-    "pair_query_batches",
     "python_modules",
     "retry_policies",
     "small_crowd_relations",

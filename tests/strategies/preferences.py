@@ -145,14 +145,6 @@ def verdict_rounds(
 
 
 @st.composite
-def pair_query_batches(draw, n: int, max_pairs: int = 40):
-    """Aligned pair batches for the bulk-kernel pin: duplicates and
-    symmetric twins are likely by construction, ``u == v`` included."""
-    node = st.integers(0, n - 1)
-    return draw(st.lists(st.tuples(node, node), max_size=max_pairs))
-
-
-@st.composite
 def small_relations(
     draw,
     max_tuples: int = 14,

@@ -267,8 +267,8 @@ def _exercise_numpy_internals():
 
 
 def _exercise_bulk_kernels(graph_class):
-    """find_roots/relations_batch: the base-class loop (reference) and
-    the numpy gather, with > 64 nodes so packed rows span two words."""
+    """find_roots: the base-class loop (reference) and the numpy
+    gather, with > 64 nodes so packed rows span two words."""
     graph = graph_class(70)
     graph.add_answer(0, 1, L)
     graph.add_answer(1, 65, L)
@@ -276,9 +276,6 @@ def _exercise_bulk_kernels(graph_class):
     graph.add_answer(1, 3, E)
     graph.add_answer(5, 6, E)
     assert list(graph.find_roots([0, 1, 3, 4])) == [0, 1, 1, 4]
-    assert list(
-        graph.relations_batch([0, 65, 5, 7], [65, 0, 6, 8])
-    ) == [1, 2, 3, 0]
 
 
 def _exercise_transactions(graph_class):
@@ -315,12 +312,8 @@ def _exercise_system(graph_class):
     system = PreferenceSystem(8, 2, graph=graph_class)
     assert system.num_attributes == 2
     system.add_answer(0, 1, 0, L)
-    # memo: miss then hit, then invalidation by a new answer
     assert system.pair_relations(0, 1) == (L, None)
     assert system.pair_relations(1, 0) == (R, None)
-    hits = system.cache_hits
-    assert system.pair_relations(0, 1) == (L, None)
-    assert system.cache_hits > hits
     system.add_answer(0, 1, 1, E)
     assert system.relation(0, 1, 1) is E
     assert system.fully_known(0, 1) and not system.fully_known(0, 2)

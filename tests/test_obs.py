@@ -186,8 +186,7 @@ def _every_folded_record():
                              backend="numpy", accepted=1):
                 pass
         emit("engine.tuple", t=0, outcome="skyline")
-        emit("pref.totals", backend="numpy", cache_hits=1,
-             closure_updates=1)
+        emit("pref.totals", backend="numpy", closure_updates=1)
         emit("shard.stats", shipped=1, local_checks=1, merge_checks=1)
         emit("sweep.cached", id="fig6a", seed=0)
         with tracer.span("journal.fsync"):

@@ -5,9 +5,10 @@ workloads checks that the numpy backend computes the reference's
 relations on every mix. numpy's closure maintenance work is pinned
 exactly: the edge-insert path by the committed ``crowd-scale`` bench
 record, the tie-merge path by closed-form and hand-counted sequences.
-Its memory is pinned to two packed matrices. The dominance kernel must
-not be slower than the re-allocating 3-D broadcast, and the packed
-covering graph must beat the per-tuple spec.
+Its memory is pinned to two packed matrices, and reading it keeps
+nothing. The dominance kernel must not be slower than the re-allocating
+3-D broadcast, and the packed covering graph must beat the per-tuple
+spec.
 
 Run via ``make test-perf-core``. The closure replay itself is timed by
 the ``closure_numpy_n*`` ids of ``crowdsky bench`` (docs/profiling.md).
@@ -136,6 +137,57 @@ def test_numpy_graph_allocates_two_packed_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= matrices + 128 * n, (peak, matrices)
+
+
+def test_closure_reads_keep_nothing():
+    """Reading the closure allocates nothing that outlives the read.
+
+    Two numpy graphs over n = 300 take 600 seeded verdicts drawn from a
+    hidden weak order, then every ordered pair is resolved (89,700) and
+    5,000 more pairs are read one at a time. Once the results are
+    dropped, traced memory is within 64 KiB of where it started; a
+    per-pair memo kept 15.3 MB here. The reference graph caches
+    descendant sets by design, so it is left out."""
+    import gc
+    import random
+    import tracemalloc
+
+    from repro.core.preference import PreferenceSystem
+
+    n = 300
+    rng = random.Random(7)
+    ranks = [[rng.randrange(n // 3) for _ in range(n)] for _ in range(2)]
+    verdicts = []
+    for _ in range(600):
+        u, v = rng.sample(range(n), 2)
+        attribute = rng.randrange(2)
+        a, b = ranks[attribute][u], ranks[attribute][v]
+        answer = (
+            Preference.LEFT if a < b
+            else Preference.RIGHT if a > b
+            else Preference.EQUAL
+        )
+        verdicts.append((u, v, attribute, answer))
+    system = PreferenceSystem(n, 2)
+    assert system.apply_verdicts(verdicts) == 600
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    reads = [tuple(rng.sample(range(n), 2)) for _ in range(5000)]
+    system.pair_relations(0, 1)  # first-call allocations
+    tracemalloc.start()
+    try:
+        # A full collection empties the interpreter's free lists, which
+        # would otherwise hold up to 2,000 dropped tuples of each size.
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        resolved = system.resolve_pairs(pairs)
+        relations = [system.pair_relations(u, v) for u, v in reads]
+        assert (len(resolved), len(relations)) == (89_700, 5_000)
+        del resolved, relations
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 64 * 1024, kept
 
 
 def _realloc_dominance_matrix(data, chunk_size=64):

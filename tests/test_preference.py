@@ -234,15 +234,27 @@ class TestPreferenceSystem:
         system.add_answer(0, 1, 0, R)
         assert system.total_rejected() == 1
 
-    def test_pair_relations_memo_and_invalidation(self, graph_class):
+    def test_pair_relations_see_each_accepted_answer(self, graph_class):
+        """A read after each accepted answer sees it, in both
+        orientations, and so do reads of pairs it relates by
+        transitivity; a rejected answer changes nothing."""
         system = PreferenceSystem(5, 2, graph=graph_class)
+        reads = [(0, 1), (1, 0), (0, 2), (2, 0)]
+
+        def read():
+            return [system.pair_relations(u, v) for u, v in reads]
+
+        assert read() == [(None, None)] * 4
         system.add_answer(0, 1, 0, L)
-        assert system.pair_relations(0, 1) == (L, None)
-        misses = system.cache_misses
-        assert system.pair_relations(1, 0) == (R, None)  # flipped: cached
-        assert system.cache_misses == misses
-        system.add_answer(0, 1, 1, E)  # accepted answer invalidates
-        assert system.pair_relations(0, 1) == (L, E)
+        assert read() == [(L, None), (R, None), (None, None), (None, None)]
+        system.add_answer(1, 0, 1, E)
+        assert read() == [(L, E), (R, E), (None, None), (None, None)]
+        system.add_answer(2, 1, 0, R)  # 1 ≺ 2, so 0 ≺ 2 by transitivity
+        assert read() == [(L, E), (R, E), (L, None), (R, None)]
+        system.add_answer(2, 0, 1, L)
+        assert read() == [(L, E), (R, E), (L, R), (R, L)]
+        assert not system.add_answer(2, 0, 0, L)  # rejected
+        assert read() == [(L, E), (R, E), (L, R), (R, L)]
 
     def test_resolve_pairs_batches_and_dedupes(self, graph_class):
         system = PreferenceSystem(5, 1, graph=graph_class)
